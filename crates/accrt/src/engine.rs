@@ -125,7 +125,7 @@ struct CacheEntry {
 #[derive(Default)]
 struct EngineInner {
     /// Request cache: `(source, function, options)` hash → kernel. The
-    /// options are part of the key, so e.g. an `optimize_kernels`
+    /// options are part of the key, so e.g. an `infer_localaccess`
     /// recompile of the same source gets its own entry.
     by_request: HashMap<u64, CacheEntry>,
     /// IR cache: compiled-IR hash → kernel (dedups textually different
@@ -543,11 +543,11 @@ void scale(int n, double *a) {
     }
 
     #[test]
-    fn optimizer_options_split_the_request_cache() {
+    fn compile_options_split_the_request_cache() {
         let eng = Engine::new(MachineKind::Desktop, ExecConfig::gpus(1));
         let plain = CompileOptions::proposal();
         let opt = CompileOptions {
-            optimize_kernels: true,
+            infer_localaccess: true,
             ..CompileOptions::proposal()
         };
         let a = eng.compile(SRC, "scale", &plain).unwrap();
@@ -556,7 +556,7 @@ void scale(int n, double *a) {
         // programs (the option is carried on the compiled program, so
         // the IRs differ too).
         assert!(!Arc::ptr_eq(&a, &b));
-        assert!(!a.options.optimize_kernels && b.options.optimize_kernels);
+        assert!(!a.options.infer_localaccess && b.options.infer_localaccess);
         assert_eq!(eng.stats().compiles, 2);
         assert_eq!(eng.stats().ir_dedups, 0);
     }

@@ -13,7 +13,6 @@ use acc_obs::{
     WavefrontRound,
 };
 use ir::interp::{eval_host_expr, rmw_apply, run_host_block, run_kernel_range};
-use ir::regvm::{launch_types_match, run_compiled, RegCompiled};
 use ir::{
     BufSanitize, Buffer, BufSlot, DirtyMap, ExecCtx, Kernel, MissRecord, OpCounters,
     SanitizeKind, SanitizeRecord, Value,
@@ -22,9 +21,7 @@ use ir::{
 use crate::mapper::SharedMapper;
 use crate::profiler::Profiler;
 use crate::state::{split_tasks, ArrayState};
-use crate::{
-    ExecConfig, ExecMode, GpuMemReport, KernelVm, RunError, RunReport, SanitizeLevel, Schedule,
-};
+use crate::{ExecConfig, ExecMode, GpuMemReport, RunError, RunReport, SanitizeLevel, Schedule};
 
 /// Host-level control flow signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,12 +132,6 @@ pub(crate) struct Run<'a> {
     /// Host wall-clock seconds spent inside communication phases
     /// (including deferred elided syncs).
     pub(crate) comm_wall_s: f64,
-    /// Per-kernel register-VM code, compiled lazily on the first launch
-    /// that wants it and reused for the rest of the run (BFS-style apps
-    /// relaunch the same kernel every iteration). Outer `None` = not yet
-    /// attempted; `Some(None)` = the optimizer declined this kernel, use
-    /// the bytecode path. `Arc` because GPU worker threads share it.
-    reg_cache: Vec<Option<Option<std::sync::Arc<RegCompiled>>>>,
 }
 
 impl<'a> Run<'a> {
@@ -184,7 +175,6 @@ impl<'a> Run<'a> {
             base_staging_allocs,
             base_scratch_allocs,
             comm_wall_s: 0.0,
-            reg_cache: vec![None; prog.kernels.len()],
         }
     }
 
@@ -439,46 +429,22 @@ impl<'a> Run<'a> {
 
     // ---------------- kernel launch ----------------
 
-    /// Whether launches run on the SSA-optimized register VM: opted in
-    /// either per run (`ExecConfig::kernel_vm`) or per program
-    /// (`CompileOptions::optimize_kernels`). Results and simulated times
-    /// are identical either way.
-    fn use_register_vm(&self) -> bool {
-        self.cfg.kernel_vm == KernelVm::Register || self.prog.options.optimize_kernels
-    }
-
-    /// Register-VM code for kernel `kidx`, compiled on first use and
-    /// cached for the rest of the run. Returns `None` when the register
-    /// VM is not opted in or the optimizer declined the kernel — both
-    /// mean "take the bytecode path".
-    fn reg_code(&mut self, kidx: usize) -> Option<std::sync::Arc<RegCompiled>> {
-        if !self.use_register_vm() {
-            return None;
-        }
-        self.reg_cache[kidx]
-            .get_or_insert_with(|| {
-                ir::regvm::compile(&self.prog.kernels[kidx].kernel).map(std::sync::Arc::new)
-            })
-            .clone()
-    }
-
     fn launch(&mut self, kidx: usize) -> Result<(), RunError> {
         let prog = self.prog;
         let ck = &prog.kernels[kidx];
         self.cur_launch = self.rec.launch_begin();
         match self.cfg.mode {
-            ExecMode::CpuParallel => self.launch_cpu(kidx, ck),
+            ExecMode::CpuParallel => self.launch_cpu(ck),
             ExecMode::Gpu => self.launch_gpu(kidx, ck),
         }
     }
 
     /// OpenMP-baseline execution: the whole iteration space runs as one
     /// CPU parallel region over the host arrays.
-    fn launch_cpu(&mut self, kidx: usize, ck: &CompiledKernel) -> Result<(), RunError> {
+    fn launch_cpu(&mut self, ck: &CompiledKernel) -> Result<(), RunError> {
         let lo = self.eval_host_i64(&ck.lo)?;
         let hi = self.eval_host_i64(&ck.hi)?;
         let params = self.gather_params(ck)?;
-        let reg = self.reg_code(kidx);
 
         let mut bufs: Vec<&mut Buffer> = Vec::with_capacity(ck.buf_map.len());
         {
@@ -520,12 +486,7 @@ impl<'a> Run<'a> {
             sanitize_log: Vec::new(),
             sanitize_hits: 0,
         };
-        match &reg {
-            Some(rc) if launch_types_match(&ck.kernel, &ctx) => {
-                run_compiled(rc, &mut ctx, lo, hi)?
-            }
-            _ => run_kernel_range(&ck.kernel, &mut ctx, lo, hi)?,
-        }
+        run_kernel_range(&ck.kernel, &mut ctx, lo, hi)?;
         let counters = ctx.counters;
         let per_buf_bytes = std::mem::take(&mut ctx.per_buf_bytes);
         let partials = std::mem::take(&mut ctx.reduction_partials);
@@ -628,7 +589,6 @@ impl<'a> Run<'a> {
         }
 
         let kernel = &ck.kernel;
-        let reg = self.reg_code(kidx);
         // Wavefront schedule: when the compiler proved every carried
         // dependence of this launch *local* (distance inside the declared
         // halo), the GPUs run sequentially in partition order, each fed
@@ -680,9 +640,7 @@ impl<'a> Run<'a> {
                 }
                 let res = match job {
                     None => Ok(JobOut::default()),
-                    Some(job) => {
-                        run_gpu_job(&mut self.machine.gpus[g], kernel, job, reg.as_deref())
-                    }
+                    Some(job) => run_gpu_job(&mut self.machine.gpus[g], kernel, job),
                 };
                 if let Ok(out) = &res {
                     if out.ran {
@@ -719,10 +677,9 @@ impl<'a> Run<'a> {
             std::thread::scope(|s| {
                 let mut handles = Vec::with_capacity(ngpus);
                 for (gpu, job) in gpus.iter_mut().zip(jobs) {
-                    let reg = reg.clone();
                     handles.push(s.spawn(move || match job {
                         None => Ok(JobOut::default()),
-                        Some(job) => run_gpu_job(gpu, kernel, job, reg.as_deref()),
+                        Some(job) => run_gpu_job(gpu, kernel, job),
                     }));
                 }
                 for h in handles {
@@ -1132,7 +1089,6 @@ fn run_gpu_job(
     gpu: &mut Gpu,
     kernel: &Kernel,
     mut job: Job,
-    reg: Option<&RegCompiled>,
 ) -> Result<JobOut, ir::ExecError> {
     let handles: Vec<_> = job.binds.iter().map(|b| b.handle).collect();
     let bufs = gpu
@@ -1165,12 +1121,7 @@ fn run_gpu_job(
         sanitize_log: Vec::new(),
         sanitize_hits: 0,
     };
-    match reg {
-        Some(rc) if launch_types_match(kernel, &ctx) => {
-            run_compiled(rc, &mut ctx, job.tasks.0, job.tasks.1)?
-        }
-        _ => run_kernel_range(kernel, &mut ctx, job.tasks.0, job.tasks.1)?,
-    }
+    run_kernel_range(kernel, &mut ctx, job.tasks.0, job.tasks.1)?;
     let out = JobOut {
         counters: ctx.counters,
         per_buf_bytes: std::mem::take(&mut ctx.per_buf_bytes),

@@ -184,13 +184,6 @@ pub struct ExecConfig {
     /// ([`RunError::ElisionUnsound`] on escape), so a Full-sanitize run
     /// is bit-identical to one with elision off.
     pub comm_elision: bool,
-    /// Which kernel interpreter executes launch bodies. Simulated times,
-    /// counters, and array contents are bit-identical across engines (the
-    /// register VM prices blocks from the pre-optimization IR); this only
-    /// trades host wall time. The per-program compiler option
-    /// `optimize_kernels` also opts launches of that program into the
-    /// register VM regardless of this knob.
-    pub kernel_vm: KernelVm,
     /// Double-buffered halo overlap: loader-phase peer halo fills of
     /// arrays the compiler's [`acc_compiler::OverlapPlan`] proved safe
     /// (distributed, read-only this launch, every verdict race-free) are
@@ -203,18 +196,6 @@ pub struct ExecConfig {
     /// bit-identical (arrays *and* event stream) to one with overlap
     /// off.
     pub overlap: bool,
-}
-
-/// Kernel execution engine selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelVm {
-    /// The fused stack-bytecode interpreter (reference fast path).
-    #[default]
-    Bytecode,
-    /// The SSA-optimized, register-allocated VM
-    /// ([`acc_kernel_ir::regvm`]); kernels it cannot statically type
-    /// fall back to bytecode per launch.
-    Register,
 }
 
 impl ExecConfig {
@@ -231,7 +212,6 @@ impl ExecConfig {
             sanitize: SanitizeLevel::Off,
             schedule: Schedule::Equal,
             comm_elision: false,
-            kernel_vm: KernelVm::Bytecode,
             overlap: false,
         }
     }
@@ -291,12 +271,6 @@ impl ExecConfig {
     /// Enable or disable static inter-launch communication elision.
     pub fn comm_elision(mut self, on: bool) -> ExecConfig {
         self.comm_elision = on;
-        self
-    }
-
-    /// Select the kernel execution engine.
-    pub fn kernel_vm(mut self, vm: KernelVm) -> ExecConfig {
-        self.kernel_vm = vm;
         self
     }
 

@@ -6,7 +6,7 @@
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
 use acc_kernel_ir::{Buffer, Value};
-use acc_runtime::{run_program, ExecConfig, KernelVm, RunError, SanitizeLevel};
+use acc_runtime::{run_program, ExecConfig, RunError, SanitizeLevel};
 
 fn machine() -> Machine {
     Machine::supercomputer_node() // 3 GPUs
@@ -104,7 +104,6 @@ fn distributed_arrays_move_less_data_than_replicated() {
         instrument: true,
         infer_localaccess: false,
         infer_reductions: false,
-        optimize_kernels: false,
     };
     let prog = compile_source(SAXPY, "saxpy", &no_ext).unwrap();
     let mut m = machine();
@@ -630,26 +629,22 @@ fn time_breakdown_is_populated() {
 }
 
 #[test]
-fn register_vm_is_observationally_identical_end_to_end() {
-    // The SSA-optimizing register VM prices launches from the
-    // pre-optimization IR, so a whole program run must produce the same
-    // arrays, scalar frame, work counters, traffic statistics, and
-    // *simulated time* as the bytecode engine — on every GPU count, with
-    // the sanitizer fully on.
+fn full_sanitizer_is_observationally_identical_end_to_end() {
+    // The sanitizer only observes: a whole program run under
+    // `SanitizeLevel::Full` must produce the same arrays, scalar frame,
+    // work counters, traffic statistics, and *simulated time* as an
+    // unsanitized run, on every GPU count.
     let n = 5_000i32;
     let x: Vec<f64> = (0..n).map(|i| (i % 23) as f64 * 0.5).collect();
     let y: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64).collect();
     let out = vec![0.0f64; 1];
     let prog = compile_source(SCALAR_RED, "dot", &CompileOptions::proposal()).unwrap();
     for ngpus in 1..=3 {
-        let run = |vm: KernelVm| {
+        let run = |level: SanitizeLevel| {
             let mut m = machine();
-            let cfg = ExecConfig::gpus(ngpus)
-                .sanitize(SanitizeLevel::Full)
-                .kernel_vm(vm);
             run_program(
                 &mut m,
-                &cfg,
+                &ExecConfig::gpus(ngpus).sanitize(level),
                 &prog,
                 vec![Value::I32(n), Value::F64(0.25)],
                 vec![
@@ -660,59 +655,63 @@ fn register_vm_is_observationally_identical_end_to_end() {
             )
             .unwrap()
         };
-        let byte = run(KernelVm::Bytecode);
-        let reg = run(KernelVm::Register);
-        for (a, b) in byte.arrays.iter().zip(reg.arrays.iter()) {
+        let plain = run(SanitizeLevel::Off);
+        let audited = run(SanitizeLevel::Full);
+        for (a, b) in plain.arrays.iter().zip(audited.arrays.iter()) {
             assert_eq!(a.bytes(), b.bytes(), "array mismatch (ngpus={ngpus})");
         }
-        assert_eq!(byte.locals, reg.locals, "ngpus={ngpus}");
+        assert_eq!(plain.locals, audited.locals, "ngpus={ngpus}");
         assert_eq!(
-            byte.profile.kernel_counters, reg.profile.kernel_counters,
+            plain.profile.kernel_counters, audited.profile.kernel_counters,
             "counter drift (ngpus={ngpus})"
         );
-        assert_eq!(byte.profile.h2d_bytes, reg.profile.h2d_bytes);
-        assert_eq!(byte.profile.p2p_bytes, reg.profile.p2p_bytes);
-        assert_eq!(byte.profile.miss_records, reg.profile.miss_records);
+        assert_eq!(plain.profile.h2d_bytes, audited.profile.h2d_bytes);
+        assert_eq!(plain.profile.p2p_bytes, audited.profile.p2p_bytes);
+        assert_eq!(plain.profile.miss_records, audited.profile.miss_records);
         assert_eq!(
-            byte.total_time(),
-            reg.total_time(),
+            plain.total_time(),
+            audited.total_time(),
             "simulated time drift (ngpus={ngpus})"
         );
     }
 }
 
+/// Reads one element past the end of `x` in the last iteration.
+const READ_PAST_END: &str = "void shift(int n, double *x, double *y) {\n\
+#pragma acc data copyin(x[0:n]) copyout(y[0:n])\n\
+{\n\
+#pragma acc parallel loop\n\
+for (int i = 0; i < n; i++) y[i] = x[i + 1];\n\
+}\n\
+}";
+
 #[test]
-fn optimize_kernels_option_opts_program_into_register_vm() {
-    // The per-program compiler switch routes launches through the
-    // register VM without touching `ExecConfig`; results stay identical
-    // to the default-compiled program, and the option splits the
-    // engine-cache key (same source, different options → distinct entry).
-    let n = 3_000i32;
-    let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
-    let opts = CompileOptions {
-        optimize_kernels: true,
-        ..CompileOptions::proposal()
-    };
-    let opt_prog = compile_source(ITERATIVE, "iterate", &opts).unwrap();
-    let ref_prog = compile_source(ITERATIVE, "iterate", &CompileOptions::proposal()).unwrap();
-    assert!(opt_prog.options.optimize_kernels);
-    let run = |prog: &acc_compiler::CompiledProgram| {
+fn out_of_bounds_kernel_error_names_the_source_array() {
+    let n = 64i32;
+    let x = vec![1.0f64; n as usize];
+    let y = vec![0.0f64; n as usize];
+    let prog = compile_source(READ_PAST_END, "shift", &CompileOptions::proposal()).unwrap();
+    let configs = [
+        ExecConfig::gpus(1),
+        ExecConfig::gpus(3),
+        ExecConfig::openmp(),
+    ];
+    for cfg in configs {
         let mut m = machine();
-        run_program(
+        let err = run_program(
             &mut m,
-            &ExecConfig::gpus(2),
-            prog,
-            vec![Value::I32(n), Value::I32(4)],
-            vec![Buffer::from_f64(&x)],
+            &cfg,
+            &prog,
+            vec![Value::I32(n)],
+            vec![Buffer::from_f64(&x), Buffer::from_f64(&y)],
         )
-        .unwrap()
-    };
-    let opt = run(&opt_prog);
-    let reference = run(&ref_prog);
-    assert_eq!(opt.arrays[0].bytes(), reference.arrays[0].bytes());
-    assert_eq!(
-        opt.profile.kernel_counters,
-        reference.profile.kernel_counters
-    );
-    assert_eq!(opt.total_time(), reference.total_time());
+        .unwrap_err();
+        assert!(matches!(err, RunError::Exec(_)), "{err}");
+        assert_eq!(err.code(), "ACC-R001");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("out-of-bounds access to `x`: global index 64"),
+            "message does not name the source array: {msg}"
+        );
+    }
 }

@@ -32,6 +32,6 @@ pub mod runner;
 pub mod spmv;
 
 pub use runner::{
-    compile_app, compile_app_on, run_app, run_app_with_config, run_app_with_engine, run_compiled,
-    App, AppError, AppResult, Scale, Version,
+    compile_app, compile_app_on, run_app, run_app_compiled, run_app_with_config,
+    run_app_with_engine, App, AppError, AppResult, Scale, Version,
 };

@@ -303,7 +303,7 @@ pub fn run_app_with_engine(
     cfg: &ExecConfig,
 ) -> Result<AppResult, AppError> {
     let prog = compile_app_on(engine, app, version)?;
-    run_compiled(engine, &prog, app, version, machine, scale, seed, cfg)
+    run_app_compiled(engine, &prog, app, version, machine, scale, seed, cfg)
 }
 
 /// Run an already-compiled application: the generate → launch → oracle
@@ -311,7 +311,7 @@ pub fn run_app_with_engine(
 /// flag (acc-serve) compile through [`Engine::compile_entry`] first and
 /// hand the kernel in here.
 #[allow(clippy::too_many_arguments)]
-pub fn run_compiled(
+pub fn run_app_compiled(
     engine: &Engine,
     prog: &Arc<CompiledKernel>,
     app: App,

@@ -561,7 +561,6 @@ pub fn ablation_placement(scale: Scale, seed: u64) -> Vec<PlacementPoint> {
                 layout_transform: dist,
                 instrument: true,
                 infer_localaccess: false,
-                optimize_kernels: false,
                 infer_reductions: false,
             };
             let prog = acc_compiler::compile_source(app.source(), app.function(), &opts).unwrap();
@@ -807,50 +806,6 @@ pub fn bench_runtime(scale: Scale, seed: u64, reps: usize, progress: bool) -> Ve
             reps,
         });
     }
-    // Register-VM rows: the same proposal runs at the full GPU count,
-    // executed through the SSA-optimizing register VM instead of the
-    // fused bytecode interpreter. The contract is that only host wall
-    // time may move — `sim_s` must match the bytecode rows above (the
-    // differential tests enforce bit-identity; the artifact records
-    // both so a divergence is visible), and `wall_best_s` is the number
-    // the optimizer pipeline is supposed to improve.
-    for &app in &[App::Bfs, App::Heat2d] {
-        let label = format!("{}-regvm", app.name());
-        if progress {
-            eprintln!("  bench: {label} x3 ({reps} reps)");
-        }
-        let v = Version::Proposal(3);
-        let cfg = v.exec_config().kernel_vm(acc_runtime::KernelVm::Register);
-        let mut walls = Vec::with_capacity(reps);
-        let mut sim_s = 0.0;
-        let mut comm_sim_s = 0.0;
-        let mut comm_wall_s = f64::INFINITY;
-        let mut correct = true;
-        for _ in 0..reps {
-            let mut m = Machine::supercomputer_node();
-            let t0 = std::time::Instant::now();
-            let r = acc_apps::run_app_with_config(app, v, &mut m, scale, seed, &cfg)
-                .expect("regvm app run");
-            walls.push(t0.elapsed().as_secs_f64());
-            sim_s = r.time.parallel_region();
-            comm_sim_s = r.time.gpu_gpu;
-            comm_wall_s = comm_wall_s.min(r.comm_wall_s);
-            correct &= r.correct;
-        }
-        let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mean = walls.iter().sum::<f64>() / walls.len() as f64;
-        out.push(RuntimePoint {
-            app: label,
-            ngpus: 3,
-            wall_best_s: best,
-            wall_mean_s: mean,
-            sim_s,
-            comm_sim_s,
-            comm_wall_s,
-            correct,
-            reps,
-        });
-    }
     out
 }
 
@@ -937,7 +892,6 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
     let ngpus = 3;
     let infer_opts = CompileOptions {
         infer_localaccess: true,
-        optimize_kernels: false,
         ..CompileOptions::proposal()
     };
     let mut out = Vec::new();

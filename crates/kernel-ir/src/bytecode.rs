@@ -20,7 +20,7 @@
 //! implementation, and differential tests in this module hold the two
 //! paths equal.
 
-use crate::interp::{rmw_apply, ExecCtx, ExecError};
+use crate::interp::{oob, rmw_apply, ExecCtx, ExecError};
 use crate::{BinOp, Builtin, Expr, RmwOp, Stmt, Ty, UnOp, Value};
 
 /// Which non-bool error message a conditional branch reports, mirroring
@@ -595,15 +595,6 @@ impl Compiler {
 pub struct Scratch {
     stack: Vec<Value>,
     istack: Vec<i64>,
-}
-
-#[inline]
-fn oob(buf: u32, gidx: i64, window_lo: i64, len: usize) -> ExecError {
-    ExecError::OutOfBounds {
-        buf: format!("buf#{buf}"),
-        idx: gidx,
-        window: (window_lo, window_lo + len as i64),
-    }
 }
 
 /// The `ToIndex` coercion, shared by the fused index ops.

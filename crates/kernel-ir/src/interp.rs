@@ -10,7 +10,7 @@
 
 use crate::dirty::DirtyMap;
 use crate::{
-    BinOp, Buffer, Builtin, Expr, Kernel, OpCounters, RmwOp, Stmt, Ty, UnOp, Value,
+    BinOp, BufParam, Buffer, Builtin, Expr, Kernel, OpCounters, RmwOp, Stmt, Ty, UnOp, Value,
 };
 
 /// A buffered remote-write record: a write to a distributed array that
@@ -87,8 +87,9 @@ pub const SANITIZE_LOG_CAP: usize = 64;
 /// Runtime execution error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// Out-of-bounds buffer access. Carries buffer name, global index, and
-    /// the valid global window.
+    /// Out-of-bounds buffer access. Carries the buffer name (the kernel's
+    /// source array; `buf#N` for a slot outside any kernel), global
+    /// index, and the valid global window.
     OutOfBounds {
         buf: String,
         idx: i64,
@@ -123,6 +124,38 @@ impl std::fmt::Display for ExecError {
     }
 }
 impl std::error::Error for ExecError {}
+
+/// The out-of-bounds error for buffer slot `buf`. The interpreters know
+/// only the slot, so they name it `buf#N`; the kernel entry points
+/// ([`run_kernel_range`], [`run_kernel_range_ast`]) rename it after the
+/// kernel's source array.
+#[inline]
+pub(crate) fn oob(buf: u32, gidx: i64, window_lo: i64, len: usize) -> ExecError {
+    ExecError::OutOfBounds {
+        buf: format!("buf#{buf}"),
+        idx: gidx,
+        window: (window_lo, window_lo + len as i64),
+    }
+}
+
+/// Rename the `buf#N` slot of an out-of-bounds error after `bufs[N]`,
+/// the kernel's source array; every other error passes through.
+fn name_oob_buffer(e: ExecError, bufs: &[BufParam]) -> ExecError {
+    match e {
+        ExecError::OutOfBounds { buf, idx, window } => {
+            let param = buf
+                .strip_prefix("buf#")
+                .and_then(|n| n.parse::<usize>().ok())
+                .and_then(|n| bufs.get(n));
+            ExecError::OutOfBounds {
+                buf: param.map_or(buf, |p| p.name.clone()),
+                idx,
+                window,
+            }
+        }
+        e => e,
+    }
+}
 
 /// One bound buffer inside an [`ExecCtx`].
 ///
@@ -421,11 +454,7 @@ impl<'a, 'b> Machine<'a, 'b> {
                 let slot = &mut self.ctx.bufs[buf.0 as usize];
                 let local = gidx - slot.window_lo;
                 if local < 0 || local as usize >= slot.data.len() {
-                    return Err(ExecError::OutOfBounds {
-                        buf: format!("buf#{}", buf.0),
-                        idx: gidx,
-                        window: (slot.window_lo, slot.window_lo + slot.data.len() as i64),
-                    });
+                    return Err(oob(buf.0, gidx, slot.window_lo, slot.data.len()));
                 }
                 let v = slot.data.get(local as usize);
                 let nbytes = slot.data.ty().size_bytes() as u64;
@@ -647,11 +676,7 @@ impl<'a, 'b> Machine<'a, 'b> {
         let slot = &self.ctx.bufs[bslot];
         let local = gidx - slot.window_lo;
         if local < 0 || local as usize >= slot.data.len() {
-            return Err(ExecError::OutOfBounds {
-                buf: format!("buf#{bslot}"),
-                idx: gidx,
-                window: (slot.window_lo, slot.window_lo + slot.data.len() as i64),
-            });
+            return Err(oob(bslot as u32, gidx, slot.window_lo, slot.data.len()));
         }
         let v = slot.data.get(local as usize);
         let nbytes = slot.data.ty().size_bytes() as u64;
@@ -666,11 +691,7 @@ impl<'a, 'b> Machine<'a, 'b> {
         let slot = &mut self.ctx.bufs[bslot];
         let local = gidx - slot.window_lo;
         if local < 0 || local as usize >= slot.data.len() {
-            return Err(ExecError::OutOfBounds {
-                buf: format!("buf#{bslot}"),
-                idx: gidx,
-                window: (slot.window_lo, slot.window_lo + slot.data.len() as i64),
-            });
+            return Err(oob(bslot as u32, gidx, slot.window_lo, slot.data.len()));
         }
         let vv = v.cast(slot.data.ty());
         slot.data.set(local as usize, vv);
@@ -707,7 +728,8 @@ pub fn run_kernel_range(
         for (slot, ty) in locals.iter_mut().zip(&k.locals) {
             *slot = ty.zero();
         }
-        crate::bytecode::run_iteration(&code, ctx, &mut locals, tid, &mut scratch)?;
+        crate::bytecode::run_iteration(&code, ctx, &mut locals, tid, &mut scratch)
+            .map_err(|e| name_oob_buffer(e, &k.bufs))?;
         ctx.counters.threads += 1;
     }
     Ok(())
@@ -732,7 +754,8 @@ pub fn run_kernel_range_ast(
             ctx,
             tid: Some(tid),
         };
-        m.exec_block(&k.body)?;
+        m.exec_block(&k.body)
+            .map_err(|e| name_oob_buffer(e, &k.bufs))?;
         ctx.counters.threads += 1;
     }
     Ok(())

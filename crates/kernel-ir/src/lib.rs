@@ -38,9 +38,6 @@ pub mod expr;
 pub mod fold;
 pub mod interp;
 pub mod kernel;
-pub mod passes;
-pub mod regvm;
-pub mod ssa;
 pub mod stmt;
 pub mod ty;
 
@@ -53,7 +50,6 @@ pub use interp::{
     ExecError, MissRecord, SanitizeKind, SanitizeRecord, SANITIZE_LOG_CAP,
 };
 pub use kernel::{BufAccess, BufParam, Kernel, ScalarParam, ScalarReduction};
-pub use regvm::{run_kernel_range_opt, RegCompiled};
 pub use stmt::{RmwOp, Stmt};
 pub use ty::{Ty, Value};
 

@@ -6,13 +6,14 @@
 //! prices launches from the `OpCounters` these produce, so the two paths
 //! must agree on *everything* observable — buffer bytes, dirty bits,
 //! miss records, reduction partials, counters, per-buffer byte tallies,
-//! and the exact `ExecError` on failure — or simulated results would
-//! silently drift.
+//! the sanitizer log and hit count, and the exact `ExecError` on failure
+//! — or simulated results would silently drift.
 
 use acc_kernel_ir::{
-    run_kernel_range, run_kernel_range_ast, BinOp, BufAccess, BufId, BufParam, Buffer, BufSlot,
-    Builtin, DirtyMap, ExecCtx, ExecError, Expr, Kernel, LocalId, MissRecord, OpCounters, ParamId,
-    RmwOp, ScalarParam, ScalarReduction, Stmt, Ty, UnOp, Value,
+    run_kernel_range, run_kernel_range_ast, BinOp, BufAccess, BufId, BufParam, BufSanitize,
+    Buffer, BufSlot, Builtin, DirtyMap, ExecCtx, ExecError, Expr, Kernel, LocalId, MissRecord,
+    OpCounters, ParamId, RmwOp, SanitizeRecord, ScalarParam, ScalarReduction, Stmt, Ty, UnOp,
+    Value, SANITIZE_LOG_CAP,
 };
 use proptest::prelude::*;
 
@@ -26,6 +27,8 @@ struct Outcome {
     per_buf_bytes: Vec<(u64, u64)>,
     misses: Vec<MissRecord>,
     reductions: Vec<Value>,
+    sanitize_log: Vec<SanitizeRecord>,
+    sanitize_hits: u64,
 }
 
 /// Per-buffer launch binding: the resident window and owned range.
@@ -52,6 +55,7 @@ fn run_one(
     params: &[Value],
     init: &[Buffer],
     bindings: &[Binding],
+    sanitize: &[BufSanitize],
     miss_capacity: usize,
     lo: i64,
     hi: i64,
@@ -79,6 +83,7 @@ fn run_one(
         .collect();
     let mut ctx = ExecCtx::new(k, params.to_vec(), slots);
     ctx.miss_capacity = miss_capacity;
+    ctx.sanitize = sanitize.to_vec();
     let result = if ast {
         run_kernel_range_ast(k, &mut ctx, lo, hi)
     } else {
@@ -88,6 +93,8 @@ fn run_one(
     let per_buf_bytes = ctx.per_buf_bytes.clone();
     let misses = ctx.miss_buf.clone();
     let reductions = ctx.reduction_partials.clone();
+    let sanitize_log = std::mem::take(&mut ctx.sanitize_log);
+    let sanitize_hits = ctx.sanitize_hits;
     drop(ctx);
     Outcome {
         result,
@@ -100,20 +107,24 @@ fn run_one(
         per_buf_bytes,
         misses,
         reductions,
+        sanitize_log,
+        sanitize_hits,
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn assert_paths_agree(
     k: &Kernel,
     params: &[Value],
     init: &[Buffer],
     bindings: &[Binding],
+    sanitize: &[BufSanitize],
     miss_capacity: usize,
     lo: i64,
     hi: i64,
 ) -> Outcome {
-    let walker = run_one(k, params, init, bindings, miss_capacity, lo, hi, true);
-    let bytecode = run_one(k, params, init, bindings, miss_capacity, lo, hi, false);
+    let walker = run_one(k, params, init, bindings, sanitize, miss_capacity, lo, hi, true);
+    let bytecode = run_one(k, params, init, bindings, sanitize, miss_capacity, lo, hi, false);
     assert_eq!(walker, bytecode, "bytecode diverged from walker on `{}`", k.name);
     bytecode
 }
@@ -138,6 +149,9 @@ fn local(i: u32) -> Expr {
 }
 fn param(i: u32) -> Expr {
     Expr::Param(ParamId(i))
+}
+fn imm(v: i32) -> Expr {
+    Expr::imm_i32(v)
 }
 
 /// The BFS edge-scan shape: the exact statement pattern the fused
@@ -332,7 +346,7 @@ fn bfs_shape_matches_walker() {
     let mut total = OpCounters::default();
     for level in -1..=1 {
         let params = [Value::I32(level), Value::I32(64), Value::I32(0)];
-        let out = assert_paths_agree(&k, &params, &bufs, &bindings, usize::MAX, 0, 64);
+        let out = assert_paths_agree(&k, &params, &bufs, &bindings, &[], usize::MAX, 0, 64);
         assert!(out.result.is_ok());
         total.dirty_marks += out.counters.dirty_marks;
         total.branches += out.counters.branches;
@@ -363,7 +377,7 @@ fn kitchen_sink_matches_walker() {
         Binding::whole(4),
     ];
     let params = [Value::I32(8), Value::I32(3)];
-    let out = assert_paths_agree(&k, &params, &bufs, &bindings, usize::MAX, 0, n as i64);
+    let out = assert_paths_agree(&k, &params, &bufs, &bindings, &[], usize::MAX, 0, n as i64);
     assert!(out.result.is_ok());
     assert_eq!(out.misses.len() as u64, out.counters.misses);
     assert_eq!(out.counters.misses, 32); // both thirds outside `own`
@@ -389,8 +403,16 @@ fn error_paths_match_walker() {
     };
     let bufs = vec![Buffer::from_i32(&[1, 2, 3, 4, 5, 6, 7, 8]), Buffer::zeroed(Ty::I32, 8)];
     let bind = vec![Binding::whole(8), Binding::whole(8)];
-    let out = assert_paths_agree(&k, &[], &bufs, &bind, usize::MAX, 0, 8);
-    assert!(matches!(out.result, Err(ExecError::OutOfBounds { .. })));
+    let out = assert_paths_agree(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 8);
+    // Thread 3 reads a[8]; the error names the source array, not its slot.
+    assert_eq!(
+        out.result,
+        Err(ExecError::OutOfBounds {
+            buf: "a".into(),
+            idx: 8,
+            window: (0, 8),
+        })
+    );
 
     // Division by zero via a parameter (defeats constant folding and the
     // compile-time `ImmIndex` fusion guard).
@@ -410,7 +432,7 @@ fn error_paths_match_walker() {
     };
     let bufs = vec![Buffer::zeroed(Ty::I32, 4)];
     let bind = vec![Binding::whole(4)];
-    let out = assert_paths_agree(&k, &[Value::I32(0)], &bufs, &bind, usize::MAX, 0, 4);
+    let out = assert_paths_agree(&k, &[Value::I32(0)], &bufs, &bind, &[], usize::MAX, 0, 4);
     assert_eq!(out.result, Err(ExecError::DivByZero));
 
     // Non-integer buffer index: the peephole pass must leave the bad
@@ -431,7 +453,7 @@ fn error_paths_match_walker() {
     };
     let bufs = vec![Buffer::from_i32(&[1, 2]), Buffer::zeroed(Ty::I32, 2)];
     let bind = vec![Binding::whole(2), Binding::whole(2)];
-    let out = assert_paths_agree(&k, &[], &bufs, &bind, usize::MAX, 0, 2);
+    let out = assert_paths_agree(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 2);
     assert!(matches!(out.result, Err(ExecError::TypeError(_))));
 
     // Miss-buffer overflow at an exact capacity boundary.
@@ -453,7 +475,7 @@ fn error_paths_match_walker() {
             },
             Binding::whole(4),
         ];
-        assert_paths_agree(&k, &[Value::I32(8), Value::I32(3)], &bufs, &bindings, 7, 0, n as i64)
+        assert_paths_agree(&k, &[Value::I32(8), Value::I32(3)], &bufs, &bindings, &[], 7, 0, n as i64)
     };
     assert_eq!(out.result, Err(ExecError::MissBufferOverflow { capacity: 7 }));
     assert_eq!(out.misses.len(), 7);
@@ -476,7 +498,7 @@ fn bool_context_error_messages_match_walker() {
         };
         let bufs = vec![Buffer::zeroed(Ty::I32, 8)];
         let bind = vec![Binding::whole(8)];
-        let out = assert_paths_agree(&k, &[], &bufs, &bind, usize::MAX, lo, hi);
+        let out = assert_paths_agree(&k, &[], &bufs, &bind, &[], usize::MAX, lo, hi);
         assert_eq!(
             out.result,
             Err(ExecError::TypeError(want.into())),
@@ -581,6 +603,384 @@ fn bool_context_error_messages_match_walker() {
     );
 }
 
+/// Four loads of `a[t]` per thread, so a one-element load window that
+/// excludes `t` flags every load.
+fn repeated_load_kernel() -> Kernel {
+    let x = || Expr::load(BufId(0), Expr::ThreadIdx);
+    Kernel {
+        name: "repeated_load".into(),
+        params: vec![i32_param("c")],
+        bufs: vec![
+            buf("a", Ty::I32, BufAccess::Read),
+            buf("out", Ty::I32, BufAccess::Write),
+        ],
+        locals: vec![Ty::I32, Ty::I32],
+        reductions: vec![],
+        body: vec![
+            Stmt::Assign {
+                local: LocalId(0),
+                value: Expr::bin(BinOp::Mul, x(), Expr::imm_i32(8)),
+            },
+            Stmt::Assign {
+                local: LocalId(1),
+                value: Expr::add(
+                    Expr::bin(BinOp::Xor, x(), param(0)),
+                    Expr::bin(BinOp::Xor, x(), param(0)),
+                ),
+            },
+            Stmt::Store {
+                buf: BufId(1),
+                idx: Expr::ThreadIdx,
+                value: Expr::add(local(0), Expr::add(x(), local(1))),
+                dirty: false,
+                checked: false,
+            },
+        ],
+    }
+}
+
+#[test]
+fn every_load_flagged_sanitizer_log_matches_walker() {
+    // Thread t may only read [t-1, t): its own element at t is a
+    // violation, so all 4 loads per thread hit. The log (capped) and the
+    // hit count (uncapped) must match the walker record for record.
+    let k = repeated_load_kernel();
+    let n = 24usize;
+    let a: Vec<i32> = (0..n as i32).collect();
+    let bufs = vec![Buffer::from_i32(&a), Buffer::from_i32(&vec![0; n])];
+    let bindings = vec![Binding::whole(n), Binding::whole(n)];
+    let sanitize = vec![
+        BufSanitize {
+            load_window: Some((1, 1, -1)),
+            carried_window: None,
+            check_stores: false,
+        },
+        BufSanitize {
+            load_window: None,
+            carried_window: None,
+            check_stores: true,
+        },
+    ];
+    let out = assert_paths_agree(
+        &k,
+        &[Value::I32(3)],
+        &bufs,
+        &bindings,
+        &sanitize,
+        usize::MAX,
+        0,
+        n as i64,
+    );
+    assert!(out.result.is_ok());
+    assert_eq!(out.sanitize_hits, 4 * n as u64, "expected every load flagged");
+    assert_eq!(out.sanitize_log.len(), (4 * n).min(SANITIZE_LOG_CAP));
+}
+
+#[test]
+fn dynamic_type_error_matches_walker() {
+    // Not statically typeable: the i32 local `l0` is assigned an f64 for
+    // threads >= 3, then used as a load index. Threads 0..3 complete and
+    // store; thread 3 faults. Both paths must report the same TypeError
+    // over the same partial buffers and counters.
+    let k = Kernel {
+        name: "dyn_badidx".into(),
+        params: vec![],
+        bufs: vec![buf("a", Ty::I32, BufAccess::Read), buf("o", Ty::I32, BufAccess::Write)],
+        locals: vec![Ty::I32],
+        reductions: vec![],
+        body: vec![
+            Stmt::Assign {
+                local: LocalId(0),
+                value: Expr::imm_i32(1),
+            },
+            Stmt::If {
+                cond: Expr::bin(BinOp::Ge, Expr::ThreadIdx, Expr::imm_i32(3)),
+                then_: vec![Stmt::Assign {
+                    local: LocalId(0),
+                    value: Expr::imm_f64(1.5),
+                }],
+                else_: vec![],
+            },
+            Stmt::Store {
+                buf: BufId(1),
+                idx: Expr::ThreadIdx,
+                value: Expr::load(BufId(0), local(0)),
+                dirty: false,
+                checked: false,
+            },
+        ],
+    };
+    let bufs = vec![Buffer::from_i32(&[7, 8, 9, 10, 11, 12]), Buffer::zeroed(Ty::I32, 6)];
+    let bind = vec![Binding::whole(6), Binding::whole(6)];
+    let out = assert_paths_agree(&k, &[], &bufs, &bind, &[], usize::MAX, 0, 6);
+    assert!(matches!(out.result, Err(ExecError::TypeError(_))));
+    assert_eq!(out.counters.threads, 3);
+    assert_eq!(out.counters.stores, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Random kernel generation: a byte stream drives a small structured
+// generator producing statically-typed kernels over a fixed world of one
+// read buffer, one distributed (checked-store) buffer, one replicated
+// (dirty-store) buffer, three i32 locals, and one scalar reduction.
+// ---------------------------------------------------------------------------
+
+const RAND_N: usize = 64;
+
+struct Gen<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Gen<'a> {
+    fn new(bytes: &'a [u8]) -> Gen<'a> {
+        Gen { bytes, pos: 0 }
+    }
+    fn next(&mut self) -> u8 {
+        let b = self.bytes[self.pos % self.bytes.len()];
+        self.pos = self.pos.wrapping_add(1);
+        b
+    }
+
+    /// A statically-typed i32 expression. Division and remainder are
+    /// included on purpose: random data drives both paths into DivByZero
+    /// faults, exercising partial-state parity at a mid-range fault.
+    fn expr(&mut self, depth: u32) -> Expr {
+        if depth == 0 {
+            return match self.next() % 4 {
+                0 => Expr::ThreadIdx,
+                1 => param(u32::from(self.next()) % 2),
+                2 => local(u32::from(self.next()) % 3),
+                _ => imm(i32::from(self.next()) - 128),
+            };
+        }
+        match self.next() % 8 {
+            0 => Expr::ThreadIdx,
+            1 => param(u32::from(self.next()) % 2),
+            2 => local(u32::from(self.next()) % 3),
+            3 => imm(i32::from(self.next()) - 128),
+            // Masked load: always in bounds for the RAND_N-element world.
+            4 => Expr::load(
+                BufId(0),
+                Expr::bin(BinOp::And, self.expr(depth - 1), imm(RAND_N as i32 - 1)),
+            ),
+            5 => Expr::Unary {
+                op: if self.next().is_multiple_of(2) { UnOp::Neg } else { UnOp::BitNot },
+                a: Box::new(self.expr(depth - 1)),
+            },
+            6 => Expr::Select {
+                c: Box::new(self.cond(depth - 1)),
+                t: Box::new(self.expr(depth - 1)),
+                f: Box::new(self.expr(depth - 1)),
+            },
+            _ => {
+                let op = [
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Xor,
+                    BinOp::And,
+                    BinOp::Or,
+                    BinOp::Shl,
+                    BinOp::Shr,
+                    BinOp::Div,
+                    BinOp::Rem,
+                ][usize::from(self.next()) % 10];
+                Expr::bin(op, self.expr(depth - 1), self.expr(depth - 1))
+            }
+        }
+    }
+
+    /// A Bool-typed condition.
+    fn cond(&mut self, depth: u32) -> Expr {
+        let cmp = |g: &mut Gen<'_>, d: u32| {
+            let op = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq, BinOp::Ne]
+                [usize::from(g.next()) % 6];
+            Expr::bin(op, g.expr(d), g.expr(d))
+        };
+        if depth == 0 {
+            return cmp(self, 0);
+        }
+        match self.next() % 4 {
+            0 => Expr::bin(BinOp::LAnd, self.cond(depth - 1), self.cond(depth - 1)),
+            1 => Expr::bin(BinOp::LOr, self.cond(depth - 1), self.cond(depth - 1)),
+            2 => Expr::Unary {
+                op: UnOp::Not,
+                a: Box::new(self.cond(depth - 1)),
+            },
+            _ => cmp(self, depth - 1),
+        }
+    }
+
+    /// Statements. Local 2 is reserved as the loop counter so the single
+    /// allowed `while` per nesting level always terminates; loop bodies
+    /// may not contain further loops or assignments to local 2.
+    fn stmts(&mut self, count: u32, depth: u32, allow_loop: bool) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        for _ in 0..count {
+            let choice = self.next() % if allow_loop { 7 } else { 6 };
+            let stmt = match choice {
+                0 => Stmt::Assign {
+                    local: LocalId(u32::from(self.next()) % 2),
+                    value: self.expr(2),
+                },
+                // Checked store to the distributed buffer: any index is
+                // legal, out-of-own indices become miss records.
+                1 => Stmt::Store {
+                    buf: BufId(1),
+                    idx: self.expr(2),
+                    value: self.expr(1),
+                    dirty: false,
+                    checked: true,
+                },
+                // Dirty store to the replicated buffer, always in bounds.
+                2 => {
+                    let idx = Expr::bin(BinOp::And, self.expr(1), imm(RAND_N as i32 - 1));
+                    Stmt::Store {
+                        buf: BufId(2),
+                        idx,
+                        value: self.expr(1),
+                        dirty: true,
+                        checked: false,
+                    }
+                }
+                3 => {
+                    let idx = Expr::bin(BinOp::And, self.expr(1), imm(RAND_N as i32 - 1));
+                    let op = [RmwOp::Add, RmwOp::Mul, RmwOp::Min, RmwOp::Max]
+                        [usize::from(self.next()) % 4];
+                    Stmt::AtomicRmw {
+                        buf: BufId(2),
+                        idx,
+                        op,
+                        value: self.expr(1),
+                    }
+                }
+                4 => {
+                    let op = [RmwOp::Add, RmwOp::Min, RmwOp::Max][usize::from(self.next()) % 3];
+                    Stmt::ReduceScalar {
+                        slot: 0,
+                        op,
+                        value: self.expr(1),
+                    }
+                }
+                5 if depth > 0 => {
+                    let cond = self.cond(1);
+                    let nt = u32::from(self.next()) % 3;
+                    let then_ = self.stmts(nt, depth - 1, allow_loop);
+                    let ne = u32::from(self.next()) % 2;
+                    let else_ = self.stmts(ne, depth - 1, allow_loop);
+                    Stmt::If { cond, then_, else_ }
+                }
+                5 => Stmt::Assign {
+                    local: LocalId(u32::from(self.next()) % 2),
+                    value: self.expr(1),
+                },
+                _ => {
+                    let trips = i32::from(self.next()) % 5;
+                    let nb = u32::from(self.next()) % 3;
+                    let mut body = self.stmts(nb, depth.min(1), false);
+                    body.push(Stmt::Assign {
+                        local: LocalId(2),
+                        value: Expr::add(local(2), imm(1)),
+                    });
+                    out.push(Stmt::Assign {
+                        local: LocalId(2),
+                        value: imm(0),
+                    });
+                    Stmt::While {
+                        cond: Expr::bin(BinOp::Lt, local(2), imm(trips)),
+                        body,
+                    }
+                }
+            };
+            out.push(stmt);
+        }
+        out
+    }
+}
+
+fn random_kernel(bytes: &[u8]) -> Kernel {
+    let mut g = Gen::new(bytes);
+    let count = 2 + u32::from(g.next()) % 5;
+    let body = g.stmts(count, 2, true);
+    Kernel {
+        name: "random".into(),
+        params: vec![i32_param("p0"), i32_param("p1")],
+        bufs: vec![
+            buf("a", Ty::I32, BufAccess::Read),
+            buf("d", Ty::I32, BufAccess::ReadWrite),
+            buf("r", Ty::I32, BufAccess::ReadWrite),
+        ],
+        locals: vec![Ty::I32, Ty::I32, Ty::I32],
+        reductions: vec![ScalarReduction {
+            var: "sum".into(),
+            ty: Ty::I32,
+            op: RmwOp::Add,
+        }],
+        body,
+    }
+}
+
+/// Full-sanitizer world for a random kernel: distributed `d` with a
+/// partial owned range, replicated `r` with a dirty map, load-window and
+/// store auditing on (the moral equivalent of `SanitizeLevel::Full`).
+fn random_world(data: &[i32], own_lo: usize, own_len: usize) -> (Vec<Buffer>, Vec<Binding>, Vec<BufSanitize>) {
+    let n = RAND_N;
+    let a: Vec<i32> = (0..n).map(|i| data[i % data.len()]).collect();
+    let d: Vec<i32> = (0..n).map(|i| data[(i * 5 + 2) % data.len()].wrapping_mul(3)).collect();
+    let r: Vec<i32> = (0..n).map(|i| data[(i * 11 + 7) % data.len()].wrapping_sub(9)).collect();
+    let own_lo = own_lo % n;
+    let own_hi = (own_lo + own_len % n).min(n);
+    let bufs = vec![Buffer::from_i32(&a), Buffer::from_i32(&d), Buffer::from_i32(&r)];
+    let bindings = vec![
+        Binding::whole(n),
+        Binding {
+            window_lo: 0,
+            own: (own_lo as i64, own_hi as i64),
+            dirty: false,
+        },
+        Binding {
+            dirty: true,
+            ..Binding::whole(n)
+        },
+    ];
+    let sanitize = vec![
+        BufSanitize {
+            // Tight declared windows so random access patterns produce
+            // sanitizer records that must replay identically.
+            load_window: Some((1, 2, 2)),
+            carried_window: Some((1, 1, 1)),
+            check_stores: false,
+        },
+        BufSanitize {
+            load_window: None,
+            carried_window: None,
+            check_stores: true,
+        },
+        BufSanitize {
+            load_window: Some((1, 4, 4)),
+            carried_window: None,
+            check_stores: true,
+        },
+    ];
+    (bufs, bindings, sanitize)
+}
+
+fn fuzz_case(
+    prog: &[u8],
+    data: &[i32],
+    p0: i32,
+    p1: i32,
+    own_lo: usize,
+    own_len: usize,
+    cap: usize,
+) {
+    let k = random_kernel(prog);
+    let (bufs, bindings, sanitize) = random_world(data, own_lo, own_len);
+    let params = [Value::I32(p0), Value::I32(p1)];
+    assert_paths_agree(&k, &params, &bufs, &bindings, &sanitize, cap, 0, RAND_N as i64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -600,7 +1000,7 @@ proptest! {
         let lo = (lo % n) as i64;
         let hi = (hi % n) as i64;
         let (lo, hi) = (lo.min(hi), lo.max(hi));
-        assert_paths_agree(&k, &params, &bufs, &bindings, usize::MAX, lo, hi);
+        assert_paths_agree(&k, &params, &bufs, &bindings, &[], usize::MAX, lo, hi);
     }
 
     /// Randomized kitchen-sink launches, including tight miss capacities
@@ -629,6 +1029,50 @@ proptest! {
             Binding::whole(4),
         ];
         let params = [Value::I32(limit), Value::I32(divisor)];
-        assert_paths_agree(&k, &params, &bufs, &bindings, cap, 0, n as i64);
+        assert_paths_agree(&k, &params, &bufs, &bindings, &[], cap, 0, n as i64);
+    }
+
+    /// Random structured kernels (control flow, RMW atomics, distributed
+    /// checked stores, replicated dirty stores, reductions) under full
+    /// sanitizing: walker and bytecode stay bit-identical on every
+    /// observable, including mid-range faults.
+    #[test]
+    fn bytecode_equals_walker_on_random_kernels(
+        prog in prop::collection::vec(0u8..=255, 8..96),
+        data in prop::collection::vec(-100i32..100, 4..32),
+        p0 in -8i32..64,
+        p1 in -4i32..8,
+        own_lo in 0usize..64,
+        own_len in 0usize..64,
+        cap in 0usize..96,
+    ) {
+        fuzz_case(&prog, &data, p0, p1, own_lo, own_len, cap);
+    }
+}
+
+/// Big fuzz smoke: 600 random Full-sanitize kernels, walker vs bytecode.
+/// Run with `cargo test --release -- --ignored bytecode_fuzz_smoke`.
+#[test]
+#[ignore]
+fn bytecode_fuzz_smoke() {
+    // Deterministic xorshift stream; no RNG dependency needed.
+    let mut s = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    for case in 0..600 {
+        let prog: Vec<u8> = (0..32 + (next() % 64) as usize).map(|_| next() as u8).collect();
+        let data: Vec<i32> = (0..8 + (next() % 24) as usize)
+            .map(|_| (next() as i32) % 100)
+            .collect();
+        let p0 = (next() % 64) as i32 - 8;
+        let p1 = (next() % 12) as i32 - 4;
+        let own_lo = (next() % 64) as usize;
+        let own_len = (next() % 64) as usize;
+        let cap = if case % 3 == 0 { (next() % 96) as usize } else { usize::MAX };
+        fuzz_case(&prog, &data, p0, p1, own_lo, own_len, cap);
     }
 }

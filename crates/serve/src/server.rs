@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use acc_apps::{run_compiled, Version};
+use acc_apps::{run_app_compiled, Version};
 use acc_gpusim::{Machine, MachineKind};
 use acc_obs::json::Value;
 use acc_runtime::{Engine, ExecConfig, TraceLevel};
@@ -223,7 +223,7 @@ impl Server {
         }
         let mut machine = Machine::with_kind(self.cfg.kind);
         let t0 = Instant::now();
-        let result = run_compiled(
+        let result = run_app_compiled(
             &self.engine,
             &kernel,
             req.app,
