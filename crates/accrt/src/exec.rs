@@ -108,8 +108,8 @@ pub(crate) struct Run<'a> {
     pub locals: Vec<Value>,
     pub host_arrays: Vec<Buffer>,
     pub arrays: Vec<ArrayState>,
-    /// The structured event stream; times and event counters are derived
-    /// from it at the end of the run.
+    /// The structured event stream: the store of phase times and event
+    /// counters.
     pub rec: Recorder,
     /// Aggregated interpreter work counters (not part of the stream).
     pub kernel_counters: OpCounters,
@@ -206,15 +206,18 @@ impl<'a> Run<'a> {
         self.rec
             .phase(None, PhaseKind::Host, self.now, self.now + host_time);
         let trace = self.rec.finish();
-        let mut profile = Profiler::from_trace(&trace);
-        profile.kernel_counters = self.kernel_counters;
-        profile.host_counters = self.host_counters;
-        profile.staging_allocs = self.staging.allocs - self.base_staging_allocs;
-        profile.scratch_allocs = self.staging.scratch_allocs - self.base_scratch_allocs;
-        profile.comm_wall_s = self.comm_wall_s;
-        debug_assert_eq!(profile.h2d_bytes, self.machine.bus.h2d_bytes);
-        debug_assert_eq!(profile.d2h_bytes, self.machine.bus.d2h_bytes);
-        debug_assert_eq!(profile.p2p_bytes, self.machine.bus.p2p_bytes);
+        let profile = Profiler {
+            time: trace.totals(),
+            kernel_counters: self.kernel_counters,
+            host_counters: self.host_counters,
+            staging_allocs: self.staging.allocs - self.base_staging_allocs,
+            scratch_allocs: self.staging.scratch_allocs - self.base_scratch_allocs,
+            comm_wall_s: self.comm_wall_s,
+        };
+        let c = trace.counters();
+        debug_assert_eq!(c.h2d_bytes, self.machine.bus.h2d_bytes);
+        debug_assert_eq!(c.d2h_bytes, self.machine.bus.d2h_bytes);
+        debug_assert_eq!(c.p2p_bytes, self.machine.bus.p2p_bytes);
         let mem = self
             .machine
             .gpus
@@ -547,8 +550,21 @@ impl<'a> Run<'a> {
             }
         }
 
+        // Wavefront schedule: when the compiler proved every carried
+        // dependence of this launch *local* (distance inside the declared
+        // halo), the GPUs run sequentially in partition order, each fed
+        // its left halo with the rows its predecessors just wrote, so
+        // dependent outer iterations pipeline across the GPUs with the
+        // exact semantics of the sequential loop. Pricing is an honest
+        // pipeline: GPU g starts once GPU g-1 finished *and* g's halo
+        // feed landed. Launches the proof does not license fall back to
+        // the parallel equal division.
+        let wavefront = self.cfg.schedule == Schedule::Wavefront
+            && ngpus > 1
+            && acc_compiler::wavefront_eligible(ck);
+
         // Resolve per-array launch placement.
-        let binfo = self.resolve_bindings(kidx, ck, &tasks)?;
+        let binfo = self.resolve_bindings(kidx, ck, &tasks, wavefront)?;
 
         // ---- loader phase ----
         let t0 = self.now;
@@ -589,18 +605,6 @@ impl<'a> Run<'a> {
         }
 
         let kernel = &ck.kernel;
-        // Wavefront schedule: when the compiler proved every carried
-        // dependence of this launch *local* (distance inside the declared
-        // halo), the GPUs run sequentially in partition order, each fed
-        // its left halo with the rows its predecessors just wrote, so
-        // dependent outer iterations pipeline across the GPUs with the
-        // exact semantics of the sequential loop. Pricing is an honest
-        // pipeline: GPU g starts once GPU g-1 finished *and* g's halo
-        // feed landed. Launches the proof does not license fall back to
-        // the parallel equal division.
-        let wavefront = self.cfg.schedule == Schedule::Wavefront
-            && ngpus > 1
-            && acc_compiler::wavefront_eligible(ck);
         let mut outs: Vec<Result<JobOut, ir::ExecError>> = Vec::with_capacity(ngpus);
         // Per-GPU kernel start times (the barrier `t1` on the parallel
         // path; staggered under the wavefront) and wavefront-priced
@@ -818,8 +822,14 @@ impl<'a> Run<'a> {
             .phase(Some(self.cur_launch), PhaseKind::Kernel, t1, t1 + tk);
         // Background halo fills that the loader priced past the barrier
         // run under the kernel phase; the wave cannot advance until both
-        // the slowest kernel and the last in-flight fill are done.
+        // the slowest kernel and the last in-flight fill are done. A
+        // fill that outlives the kernel is loader time on the critical
+        // path; the part that ran under the kernel is what the overlap
+        // saved against loading synchronously.
         let t2 = (t1 + tk).max(bg_end);
+        self.rec
+            .phase(Some(self.cur_launch), PhaseKind::Loader, t1 + tk, t2);
+        self.rec.overlap_hidden((bg_end - t1).min(tk));
 
         // Scalar reductions merge back into host locals.
         let partials: Vec<Vec<Value>> = job_outs
@@ -901,6 +911,7 @@ impl<'a> Run<'a> {
         kidx: usize,
         ck: &CompiledKernel,
         tasks: &[(i64, i64)],
+        wavefront: bool,
     ) -> Result<Vec<ArrLaunch>, RunError> {
         let ngpus = tasks.len();
         let instrument = self.prog.options.instrument;
@@ -1058,12 +1069,16 @@ impl<'a> Run<'a> {
             };
             // Double-buffered halo overlap: only when the knob is on,
             // `SanitizeLevel::Full` is not re-arming the synchronous
-            // path, and the compiler's dataflow pass granted an
-            // `OverlapFact` for this (kernel, buffer) — distributed with
-            // a declared halo window, read-only this launch, every
-            // verdict in the wave race-free.
+            // path, the launch is not a wavefront (its staggered turns
+            // feed halos over the same links, so a fill still in flight
+            // would delay the pipeline instead of hiding under it), and
+            // the compiler's dataflow pass granted an `OverlapFact` for
+            // this (kernel, buffer) — distributed with a declared halo
+            // window, read-only this launch, every verdict in the wave
+            // race-free.
             let overlap = self.cfg.overlap
                 && self.cfg.sanitize != SanitizeLevel::Full
+                && !wavefront
                 && matches!(cfg.placement, Placement::Distributed)
                 && self.prog.overlap_plan.fact(kidx, kbuf).is_some();
             out.push(ArrLaunch {

@@ -21,8 +21,10 @@
 //!
 //! Time is simulated: kernel durations come from the interpreter's work
 //! counters through the device models, transfer durations from the PCIe
-//! bus model; the [`Profiler`] splits the total into the KERNELS /
-//! CPU-GPU / GPU-GPU categories of the paper's Fig. 8.
+//! bus model. The run's [`Trace`] splits the total into the KERNELS /
+//! CPU-GPU / GPU-GPU categories of the paper's Fig. 8 and counts its
+//! launches and transfer volumes; the [`Profiler`] adds the host-side
+//! facts the event stream does not carry.
 
 pub mod comm;
 pub mod engine;
@@ -39,7 +41,7 @@ use acc_kernel_ir::{Buffer, ExecError, Value};
 
 pub use acc_obs::{Trace, TraceLevel};
 pub use engine::{CompiledKernel, Engine, EngineStats};
-pub use profiler::{Profiler, TimeBreakdown};
+pub use profiler::Profiler;
 pub use ranges::RangeSet;
 
 /// The names most programs driving the runtime need:
@@ -489,13 +491,14 @@ pub struct RunReport {
     pub arrays: Vec<Buffer>,
     /// Final host scalar frame (useful for scalar outputs/diagnostics).
     pub locals: Vec<Value>,
-    /// Simulated-time breakdown and transfer/work statistics (derived
-    /// from the structured event stream in [`RunReport::trace`]).
+    /// Phase split and the host-side facts the event stream does not
+    /// carry (work counters, pool allocations, comm wall clock).
     pub profile: Profiler,
     /// Per-GPU peak device-memory usage.
     pub mem: Vec<GpuMemReport>,
-    /// The structured event stream (detail set by
-    /// [`ExecConfig::tracing`]); export with
+    /// The structured event stream: the store of phase totals and event
+    /// counters at every [`ExecConfig::tracing`] level, whose retained
+    /// detail that level sets; export with
     /// [`Trace::chrome_trace`] / [`Trace::summary_table`].
     pub trace: Trace,
 }

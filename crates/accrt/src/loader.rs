@@ -131,8 +131,9 @@ impl<'a> Run<'a> {
         // loader-phase transfer (contention with the synchronous
         // traffic preserved); only their ends left the critical path.
         // With `t1` now known, each becomes an `OverlapWindow`:
-        // `hidden_s` is what the fill would have added to the
-        // synchronous phase end.
+        // `hidden_s` is the fill's own tail past the synchronous phase
+        // end. The launch's saving needs the kernel time too, so the
+        // caller counts it.
         let mut bg_end = end;
         for f in bg {
             bg_end = bg_end.max(f.end);

@@ -43,7 +43,7 @@ fn assert_reports_identical(par: &RunReport, ser: &RunReport, what: &str) {
     assert_eq!(par.locals, ser.locals, "{what}: host scalars differ");
     assert_eq!(par.profile.time, ser.profile.time, "{what}: time breakdown differs");
     assert_eq!(
-        par.profile.p2p_bytes, ser.profile.p2p_bytes,
+        par.trace.counters().p2p_bytes, ser.trace.counters().p2p_bytes,
         "{what}: P2P bytes differ"
     );
     assert_eq!(
@@ -192,7 +192,7 @@ fn replay_with_more_gpus_than_iterations() {
             vec![Buffer::from_f64(&src), Buffer::zeroed(Ty::F64, 2)],
         );
         assert_eq!(r.arrays[1].to_f64_vec(), expect, "parallel={parallel}");
-        assert!(r.profile.miss_records > 0, "cross-partition writes missed");
+        assert!(r.trace.counters().miss_records > 0, "cross-partition writes missed");
     }
 }
 

@@ -69,19 +69,19 @@ fn elision_skips_syncs_and_preserves_results() {
         assert_eq!(off.arrays[2].to_f64_vec(), on.arrays[2].to_f64_vec());
         // Both written arrays elided on every launch (2 kernels × ITERS).
         assert_eq!(
-            on.profile.comm_elisions,
+            on.trace.counters().comm_elisions,
             2 * ITERS as u64,
             "ngpus={ngpus}"
         );
-        assert!(on.profile.comm_elided_bytes > 0);
-        assert_eq!(off.profile.comm_elisions, 0);
+        assert!(on.trace.counters().comm_elided_bytes > 0);
+        assert_eq!(off.trace.counters().comm_elisions, 0);
         // ITERS per-launch syncs collapse into one deferred sync per
         // array, so GPU-GPU traffic drops.
         assert!(
-            on.profile.p2p_bytes < off.profile.p2p_bytes,
+            on.trace.counters().p2p_bytes < off.trace.counters().p2p_bytes,
             "ngpus={ngpus}: on={} off={}",
-            on.profile.p2p_bytes,
-            off.profile.p2p_bytes
+            on.trace.counters().p2p_bytes,
+            off.trace.counters().p2p_bytes
         );
         assert!(on.profile.time.parallel_region() <= off.profile.time.parallel_region());
     }
@@ -102,8 +102,8 @@ fn full_sanitize_rearms_elision_bit_identically() {
         assert_eq!(off.arrays[1].to_f64_vec(), on.arrays[1].to_f64_vec());
         assert_eq!(off.arrays[2].to_f64_vec(), on.arrays[2].to_f64_vec());
         assert_eq!(off.profile.time, on.profile.time, "ngpus={ngpus}");
-        assert_eq!(off.profile.p2p_bytes, on.profile.p2p_bytes);
-        assert_eq!(on.profile.comm_elisions, 0, "Full sanitize re-arms syncs");
+        assert_eq!(off.trace.counters().p2p_bytes, on.trace.counters().p2p_bytes);
+        assert_eq!(on.trace.counters().comm_elisions, 0, "Full sanitize re-arms syncs");
     }
 }
 
@@ -158,7 +158,7 @@ fn staging_pool_reuses_buffers_across_syncs() {
     // The pool must hold allocations at the first launch's count.
     let ngpus = 2usize;
     let r = run_elidable(ngpus, ExecConfig::gpus(ngpus));
-    assert!(r.profile.dirty_chunks_sent > 0, "sync path exercised");
+    assert!(r.trace.counters().dirty_chunks_sent > 0, "sync path exercised");
     assert!(
         r.profile.staging_allocs <= ngpus as u64,
         "staging pool must reuse buffers: {} allocs over {} elided-off syncs",

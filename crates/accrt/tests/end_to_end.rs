@@ -79,8 +79,8 @@ fn saxpy_openmp_mode_matches() {
     let expect: Vec<f32> = (0..n).map(|i| 2.0 * (i % 7) as f32 + 1.0).collect();
     assert_eq!(r.arrays[1].to_f32_vec(), expect);
     // OpenMP mode moves no data.
-    assert_eq!(r.profile.h2d_bytes, 0);
-    assert_eq!(r.profile.p2p_bytes, 0);
+    assert_eq!(r.trace.counters().h2d_bytes, 0);
+    assert_eq!(r.trace.counters().p2p_bytes, 0);
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn distributed_arrays_move_less_data_than_replicated() {
     assert_eq!(repl.arrays[1].to_f32_vec(), with_la.arrays[1].to_f32_vec());
     // Distribution loads each element once in total; replication loads
     // every element on both GPUs.
-    assert!(with_la.profile.h2d_bytes < repl.profile.h2d_bytes);
+    assert!(with_la.trace.counters().h2d_bytes < repl.trace.counters().h2d_bytes);
 }
 
 const SCALAR_RED: &str = "void dot(int n, double *x, double *y, double s, double *out) {\n\
@@ -226,8 +226,8 @@ fn replicated_scatter_syncs_with_dirty_bits() {
         );
         assert_eq!(r.arrays[1].to_i32_vec(), expect, "ngpus={ngpus}");
         if ngpus > 1 {
-            assert!(r.profile.dirty_chunks_sent > 0, "dirty path used");
-            assert!(r.profile.p2p_bytes > 0);
+            assert!(r.trace.counters().dirty_chunks_sent > 0, "dirty path used");
+            assert!(r.trace.counters().p2p_bytes > 0);
             // Dirty maps cost System device memory (Fig. 9).
             assert!(r.mem[0].system_peak > 0);
         } else {
@@ -272,7 +272,7 @@ fn write_misses_replayed_on_owner_gpus() {
         );
         assert_eq!(r.arrays[1].to_f64_vec(), expect, "ngpus={ngpus}");
         if ngpus > 1 {
-            assert!(r.profile.miss_records > 0, "miss path used (ngpus={ngpus})");
+            assert!(r.trace.counters().miss_records > 0, "miss path used (ngpus={ngpus})");
         }
     }
 }
@@ -306,9 +306,9 @@ fn loader_skips_reloads_for_iterative_kernels() {
     // Distribution: each GPU loads its half exactly once; copy-out reads
     // it back once. 10 iterations must not multiply the traffic.
     let bytes = (n * 8) as u64;
-    assert_eq!(r.profile.h2d_bytes, bytes);
-    assert_eq!(r.profile.d2h_bytes, bytes);
-    assert_eq!(r.profile.kernel_launches, 10);
+    assert_eq!(r.trace.counters().h2d_bytes, bytes);
+    assert_eq!(r.trace.counters().d2h_bytes, bytes);
+    assert_eq!(r.trace.counters().kernel_launches, 10);
 }
 
 const UPDATE_PROG: &str = "void upd(int n, double *x, double *y) {\n\
@@ -347,8 +347,8 @@ for (int i = 0; i < n; i++) x[i] = 3.0;\n\
     )]);
     assert!(r.arrays[0].to_f64_vec().iter().all(|&v| v == 3.0));
     // Implicit copy region: data went up and came back.
-    assert!(r.profile.h2d_bytes > 0);
-    assert!(r.profile.d2h_bytes > 0);
+    assert!(r.trace.counters().h2d_bytes > 0);
+    assert!(r.trace.counters().d2h_bytes > 0);
 }
 
 #[test]
@@ -380,7 +380,7 @@ t = t + 1;\n\
     );
     assert!(r.arrays[0].to_i32_vec().iter().all(|&v| v == 5));
     // 5 productive launches + 1 that sees no change.
-    assert_eq!(r.profile.kernel_launches, 6);
+    assert_eq!(r.trace.counters().kernel_launches, 6);
 }
 
 const HIST_MIN: &str = "void hmin(int n, int k, int *keys, double *w, double *bins) {\n\
@@ -496,10 +496,10 @@ t = t + 1;\n\
     // ...but several times the host->device traffic without skipping
     // (the read-only x reloads on all 10 launches).
     assert!(
-        without.profile.h2d_bytes >= 5 * with.profile.h2d_bytes,
+        without.trace.counters().h2d_bytes >= 5 * with.trace.counters().h2d_bytes,
         "with={} without={}",
-        with.profile.h2d_bytes,
-        without.profile.h2d_bytes
+        with.trace.counters().h2d_bytes,
+        without.trace.counters().h2d_bytes
     );
 }
 
@@ -665,9 +665,9 @@ fn full_sanitizer_is_observationally_identical_end_to_end() {
             plain.profile.kernel_counters, audited.profile.kernel_counters,
             "counter drift (ngpus={ngpus})"
         );
-        assert_eq!(plain.profile.h2d_bytes, audited.profile.h2d_bytes);
-        assert_eq!(plain.profile.p2p_bytes, audited.profile.p2p_bytes);
-        assert_eq!(plain.profile.miss_records, audited.profile.miss_records);
+        assert_eq!(plain.trace.counters().h2d_bytes, audited.trace.counters().h2d_bytes);
+        assert_eq!(plain.trace.counters().p2p_bytes, audited.trace.counters().p2p_bytes);
+        assert_eq!(plain.trace.counters().miss_records, audited.trace.counters().miss_records);
         assert_eq!(
             plain.total_time(),
             audited.total_time(),

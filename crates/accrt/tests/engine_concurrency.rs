@@ -83,7 +83,7 @@ fn assert_reports_identical(eng: &RunReport, ser: &RunReport, what: &str) {
         "{what}: time breakdown differs"
     );
     assert_eq!(
-        eng.profile.p2p_bytes, ser.profile.p2p_bytes,
+        eng.trace.counters().p2p_bytes, ser.trace.counters().p2p_bytes,
         "{what}: P2P bytes differ"
     );
     assert_eq!(

@@ -163,7 +163,7 @@ for (int i = 0; i < n; i++) x[i] = 1.0;\n\
     )
     .unwrap();
     assert_eq!(r.arrays[0].to_f64_vec(), vec![9.0; 4]);
-    assert_eq!(r.profile.kernel_launches, 1);
+    assert_eq!(r.trace.counters().kernel_launches, 1);
     assert_eq!(r.profile.kernel_counters.threads, 0);
 }
 

@@ -263,7 +263,7 @@ mod tests {
                 "ngpus={ngpus}"
             );
             // The forced-checked run observes zero misses: the proof held.
-            assert_eq!(rf.profile.miss_records, 0, "ngpus={ngpus}");
+            assert_eq!(rf.trace.counters().miss_records, 0, "ngpus={ngpus}");
         }
     }
 
@@ -309,6 +309,6 @@ mod tests {
         let (scalars, arrays) = inputs(&input);
         let r = run_program(&mut m, &ExecConfig::gpus(3), &prog, scalars, arrays).unwrap();
         // Halo rows are re-fetched from their owner GPUs between sweeps.
-        assert!(r.profile.p2p_bytes > 0);
+        assert!(r.trace.counters().p2p_bytes > 0);
     }
 }

@@ -285,7 +285,7 @@ mod tests {
         let ecfg = ExecConfig::gpus(3).schedule(Schedule::Wavefront);
         let r = run_program(&mut m, &ecfg, &prog, scalars, arrays).unwrap();
         // Two left-halo rows re-fed per downstream GPU per sweep.
-        assert!(r.profile.p2p_bytes > 0);
+        assert!(r.trace.counters().p2p_bytes > 0);
         assert_eq!(
             r.trace.counters().wavefront_rounds,
             (cfg.iters * 3) as u64,

@@ -15,8 +15,8 @@ use std::sync::{Arc, OnceLock};
 use acc_compiler::{CompileOptions, CompiledProgram};
 use acc_gpusim::{Machine, MachineKind};
 use acc_runtime::{
-    CompiledKernel, Engine, ExecConfig, GpuMemReport, RunError, RunReport, Schedule,
-    TimeBreakdown, Trace,
+    CompiledKernel, Engine, ExecConfig, GpuMemReport, Profiler, RunError, RunReport, Schedule,
+    Trace,
 };
 
 use crate::{bfs, heat2d, heat2d_halo2, kmeans, md, pagerank, spmv};
@@ -169,31 +169,23 @@ pub enum Scale {
 pub struct AppResult {
     pub app: App,
     pub version: Version,
-    /// Simulated time breakdown (Fig. 7 normalises on
-    /// `time.parallel_region()`, Fig. 8 splits it).
-    pub time: TimeBreakdown,
+    /// The run's phase split (Fig. 7 normalises on
+    /// `profile.time.parallel_region()`, Fig. 8 splits it) and host-side
+    /// facts such as `comm_wall_s`.
+    pub profile: Profiler,
     /// Per-GPU peak memory (Fig. 9).
     pub mem: Vec<GpuMemReport>,
-    /// Kernel executions (Table II column C).
-    pub kernel_launches: usize,
     /// `(localaccess arrays, arrays in parallel loops)` (Table II col. D).
     pub localaccess_ratio: (usize, usize),
-    /// Transfer volumes.
-    pub h2d_bytes: u64,
-    pub d2h_bytes: u64,
-    pub p2p_bytes: u64,
-    /// Host wall-clock seconds the runtime spent inside the
-    /// communication phase (replica syncs, including deferred
-    /// reconciliation after comm elision). Complements `time.gpu_gpu`,
-    /// which is the *simulated* cost of the same phase.
-    pub comm_wall_s: f64,
     /// Oracle check.
     pub correct: bool,
     /// Maximum absolute error vs the oracle (0 for exact matches).
     pub max_err: f64,
-    /// Event trace of the run. Empty unless the [`ExecConfig`] asked
-    /// for `TraceLevel::Summary`/`Spans` — `acc-serve` uses this to
-    /// stream a Chrome trace back per job.
+    /// Event trace of the run: its counters (kernel executions for
+    /// Table II column C, transfer volumes) at every level; its events
+    /// only when the [`ExecConfig`] asked for `TraceLevel::Summary`/
+    /// `Spans` — `acc-serve` uses this to stream a Chrome trace back per
+    /// job.
     pub trace: Trace,
 }
 
@@ -491,14 +483,9 @@ fn result_from(
     AppResult {
         app,
         version,
-        time: report.profile.time,
-        mem: report.mem.clone(),
-        kernel_launches: report.profile.kernel_launches,
+        profile: report.profile,
+        mem: report.mem,
         localaccess_ratio: prog.localaccess_ratio(),
-        h2d_bytes: report.profile.h2d_bytes,
-        d2h_bytes: report.profile.d2h_bytes,
-        p2p_bytes: report.profile.p2p_bytes,
-        comm_wall_s: report.profile.comm_wall_s,
         correct,
         max_err,
         trace: report.trace,
@@ -527,7 +514,7 @@ mod tests {
         ] {
             let r = run_app(App::Md, v, &mut desktop(), Scale::Small, 42).unwrap();
             assert!(r.correct, "{} wrong (err {})", v.label(), r.max_err);
-            assert_eq!(r.kernel_launches, 1, "Table II C=1");
+            assert_eq!(r.trace.counters().kernel_launches, 1, "Table II C=1");
         }
     }
 
@@ -536,7 +523,7 @@ mod tests {
         let r = run_app(App::Md, Version::Proposal(3), &mut node(), Scale::Small, 42).unwrap();
         assert!(r.correct);
         // MD needs no inter-GPU communication (§V-A).
-        assert_eq!(r.p2p_bytes, 0, "MD must not use the GPU-GPU path");
+        assert_eq!(r.trace.counters().p2p_bytes, 0, "MD must not use the GPU-GPU path");
     }
 
     #[test]
@@ -571,7 +558,7 @@ mod tests {
         )
         .unwrap();
         // 2 loops × 5 iterations at Small scale.
-        assert_eq!(r.kernel_launches, 10);
+        assert_eq!(r.trace.counters().kernel_launches, 10);
         assert_eq!(r.localaccess_ratio, (2, 5));
     }
 
@@ -595,10 +582,10 @@ mod tests {
     fn bfs_kernel_count_matches_depth() {
         let r = run_app(App::Bfs, Version::Proposal(2), &mut node(), Scale::Small, 3).unwrap();
         // depth 6 → 7 launches at Small scale (Paper scale gives 10).
-        assert_eq!(r.kernel_launches, 7);
+        assert_eq!(r.trace.counters().kernel_launches, 7);
         assert_eq!(r.localaccess_ratio, (2, 3));
         // BFS is the communication-heavy app: dirty-bit sync used.
-        assert!(r.p2p_bytes > 0);
+        assert!(r.trace.counters().p2p_bytes > 0);
     }
 
     #[test]
@@ -648,10 +635,10 @@ mod tests {
         let r2 = run_app(App::Md, Version::Proposal(2), &mut desktop(), Scale::Scaled, 9).unwrap();
         assert!(r1.correct && r2.correct);
         assert!(
-            r2.time.parallel_region() < r1.time.parallel_region(),
+            r2.profile.time.parallel_region() < r1.profile.time.parallel_region(),
             "2 GPUs {} vs 1 GPU {}",
-            r2.time.parallel_region(),
-            r1.time.parallel_region()
+            r2.profile.time.parallel_region(),
+            r1.profile.time.parallel_region()
         );
     }
 
@@ -660,6 +647,6 @@ mod tests {
     fn gpu_versions_beat_openmp_on_md() {
         let omp = run_app(App::Md, Version::OpenMP, &mut desktop(), Scale::Scaled, 9).unwrap();
         let gpu = run_app(App::Md, Version::Proposal(2), &mut desktop(), Scale::Scaled, 9).unwrap();
-        assert!(gpu.time.parallel_region() < omp.time.parallel_region());
+        assert!(gpu.profile.time.parallel_region() < omp.profile.time.parallel_region());
     }
 }

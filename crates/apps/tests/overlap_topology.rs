@@ -3,10 +3,10 @@
 //! re-arms the synchronous path bit-identically) and topology-aware
 //! reduction collectives, on real apps at 16–64 simulated GPUs.
 
-use acc_apps::{heat2d, pagerank};
+use acc_apps::{heat2d, pagerank, run_app_with_config, App, AppResult, Scale, Version};
 use acc_compiler::{compile_source, CompileOptions};
 use acc_gpusim::Machine;
-use acc_obs::Event;
+use acc_obs::{Event, Trace};
 use acc_runtime::prelude::*;
 
 fn run_heat2d(machine: &mut Machine, ecfg: &ExecConfig, seed: u64) -> RunReport {
@@ -229,4 +229,79 @@ fn overlap_on_flat_topology_keeps_results_and_stays_armed() {
     );
     assert!(r_on.trace.counters().overlap_windows > 0);
     assert!(r_on.total_time() <= r_off.total_time() + 1e-12);
+}
+
+/// Assert that the retained `Phase` spans tile `[0, totals().total()]`:
+/// sorted by start, each begins where the previous one ended, with no
+/// gap (time the totals miss) and no overlap (time counted twice).
+fn assert_phases_tile(trace: &Trace, what: &str) {
+    let mut spans: Vec<(f64, f64)> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Phase(p) => Some((p.start, p.end)),
+            _ => None,
+        })
+        .collect();
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let total = trace.totals().total();
+    let eps = 1e-12 + 1e-12 * total;
+    let mut at = 0.0;
+    for (start, end) in spans {
+        assert!(
+            (start - at).abs() <= eps,
+            "{what}: phase [{start}, {end}] does not start where the last one ended ({at})"
+        );
+        at = end;
+    }
+    assert!(
+        (at - total).abs() <= 1e-9 * total.max(1e-3),
+        "{what}: phases end at {at} but the totals sum to {total}"
+    );
+}
+
+fn run_traced(app: App, ngpus: usize, machine: &mut Machine, overlap: bool) -> AppResult {
+    let version = Version::Proposal(ngpus);
+    let cfg = version
+        .exec_config()
+        .overlap(overlap)
+        .tracing(TraceLevel::Spans);
+    let r = run_app_with_config(app, version, machine, Scale::Small, 42, &cfg).unwrap();
+    assert!(r.correct, "{} x{ngpus} overlap={overlap} wrong", app.name());
+    r
+}
+
+#[test]
+fn phase_spans_tile_the_timeline_and_overlap_counts_its_saving() {
+    // Every app at 1-3 GPUs on the node, plus the two halo apps on two
+    // cluster islands, where fills outlive their kernels.
+    let mut cases: Vec<(App, usize)> = Vec::new();
+    for app in App::ALL {
+        cases.extend((1..=3).map(|ngpus| (app, ngpus)));
+    }
+    cases.extend([(App::Heat2d, 16), (App::Pagerank, 16)]);
+    let mut saved_somewhere = false;
+    for (app, ngpus) in cases {
+        let machine = || match ngpus {
+            1..=3 => Machine::supercomputer_node(),
+            n => Machine::cluster(n),
+        };
+        let off = run_traced(app, ngpus, &mut machine(), false);
+        let on = run_traced(app, ngpus, &mut machine(), true);
+        let what = format!("{} x{ngpus}", app.name());
+        assert_phases_tile(&off.trace, &format!("{what} overlap off"));
+        assert_phases_tile(&on.trace, &format!("{what} overlap on"));
+        // The counter is the critical-path saving: exactly what the
+        // overlap-off run spends beyond the overlapped one, to within
+        // the counter's nanosecond rounding per launch.
+        let c = on.trace.counters();
+        let saved_ns = (off.trace.totals().total() - on.trace.totals().total()) * 1e9;
+        assert!(
+            (c.overlap_hidden_ns as f64 - saved_ns).abs() <= c.kernel_launches as f64,
+            "{what}: overlap_hidden_ns {} but overlap saved {saved_ns} ns",
+            c.overlap_hidden_ns
+        );
+        saved_somewhere |= c.overlap_hidden_ns > 0;
+    }
+    assert!(saved_somewhere, "no case exercised a background fill");
 }

@@ -24,7 +24,7 @@ fn bench_apps(c: &mut Criterion) {
                     let mut m = Machine::supercomputer_node();
                     let r = run_app(app, v, &mut m, Scale::Small, 42).expect("run");
                     assert!(r.correct);
-                    black_box(r.time.parallel_region())
+                    black_box(r.profile.time.parallel_region())
                 })
             });
         }
@@ -42,7 +42,7 @@ fn bench_compile_pipeline(c: &mut Criterion) {
         b.iter(|| {
             let mut m = Machine::supercomputer_node();
             let r = run_app(App::Bfs, Version::Proposal(3), &mut m, Scale::Small, 1).unwrap();
-            black_box(r.kernel_launches)
+            black_box(r.trace.counters().kernel_launches)
         })
     });
     g.finish();

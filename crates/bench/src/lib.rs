@@ -92,7 +92,7 @@ pub struct AppRow {
     /// B: number of parallel loops.
     pub parallel_loops: usize,
     /// C: number of kernel executions.
-    pub kernel_execs: usize,
+    pub kernel_execs: u64,
     /// D: arrays with localaccess / arrays used in parallel loops.
     pub localaccess: String,
     pub correct: bool,
@@ -121,7 +121,7 @@ pub fn table2(scale: Scale) -> Vec<AppRow> {
                 input: input_label(app, scale),
                 device_mb: r.mem[0].user_peak as f64 / 1e6,
                 parallel_loops: prog.n_parallel_loops(),
-                kernel_execs: r.kernel_launches,
+                kernel_execs: r.trace.counters().kernel_launches,
                 localaccess: format!("{}/{}", r.localaccess_ratio.0, r.localaccess_ratio.1),
                 correct: r.correct,
             }
@@ -292,13 +292,14 @@ pub fn fig7_from(matrix: &[MatrixEntry]) -> Vec<Fig7Bar> {
             })
             .expect("OpenMP baseline present")
             .result
+            .profile
             .time
             .parallel_region();
         out.push(Fig7Bar {
             machine: e.machine.label().to_string(),
             app: e.app.name().to_string(),
             version: e.version.label(),
-            relative_perf: base / e.result.time.parallel_region(),
+            relative_perf: base / e.result.profile.time.parallel_region(),
             correct: e.result.correct,
         });
     }
@@ -335,15 +336,16 @@ pub fn fig8_from(matrix: &[MatrixEntry]) -> Vec<Fig8Bar> {
             })
             .expect("1-GPU run present")
             .result
+            .profile
             .time
             .parallel_region();
         out.push(Fig8Bar {
             machine: e.machine.label().to_string(),
             app: e.app.name().to_string(),
             ngpus: n,
-            kernels: e.result.time.kernels / base,
-            cpu_gpu: e.result.time.cpu_gpu / base,
-            gpu_gpu: e.result.time.gpu_gpu / base,
+            kernels: e.result.profile.time.kernels / base,
+            cpu_gpu: e.result.profile.time.cpu_gpu / base,
+            gpu_gpu: e.result.profile.time.gpu_gpu / base,
         });
     }
     out
@@ -454,8 +456,8 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
             chunk_kb: kb,
             gpu_gpu_time: r.profile.time.gpu_gpu,
             total_time: r.profile.time.parallel_region(),
-            dirty_chunks_sent: r.profile.dirty_chunks_sent,
-            p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
+            dirty_chunks_sent: r.trace.counters().dirty_chunks_sent,
+            p2p_mb: r.trace.counters().p2p_bytes as f64 / 1e6,
         });
     }
 
@@ -499,8 +501,8 @@ pub fn ablation_chunk(scale: Scale, seed: u64) -> Vec<ChunkPoint> {
             chunk_kb: kb,
             gpu_gpu_time: r.profile.time.gpu_gpu,
             total_time: r.profile.time.parallel_region(),
-            dirty_chunks_sent: r.profile.dirty_chunks_sent,
-            p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
+            dirty_chunks_sent: r.trace.counters().dirty_chunks_sent,
+            p2p_mb: r.trace.counters().p2p_bytes as f64 / 1e6,
         });
     }
     out
@@ -570,7 +572,7 @@ pub fn ablation_placement(scale: Scale, seed: u64) -> Vec<PlacementPoint> {
             out.push(PlacementPoint {
                 app: app.name().to_string(),
                 distribution: dist,
-                h2d_mb: r.profile.h2d_bytes as f64 / 1e6,
+                h2d_mb: r.trace.counters().h2d_bytes as f64 / 1e6,
                 total_time: r.profile.time.parallel_region(),
                 user_mem_mb: r.mem.iter().map(|g| g.user_peak).sum::<u64>() as f64 / 1e6,
             });
@@ -603,7 +605,7 @@ pub fn ablation_loader_reuse(scale: Scale, seed: u64) -> Vec<ReusePoint> {
             out.push(ReusePoint {
                 app: app.name().to_string(),
                 reuse,
-                h2d_mb: r.profile.h2d_bytes as f64 / 1e6,
+                h2d_mb: r.trace.counters().h2d_bytes as f64 / 1e6,
                 cpu_gpu_time: r.profile.time.cpu_gpu,
                 total_time: r.profile.time.parallel_region(),
             });
@@ -663,7 +665,7 @@ pub fn extension_stencil(scale: Scale, seed: u64) -> Vec<StencilPoint> {
                 kernels_time: r.profile.time.kernels,
                 cpu_gpu_time: r.profile.time.cpu_gpu,
                 gpu_gpu_time: r.profile.time.gpu_gpu,
-                p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
+                p2p_mb: r.trace.counters().p2p_bytes as f64 / 1e6,
                 miss_checks: r.profile.kernel_counters.miss_checks,
                 correct: err < 1e-9,
             });
@@ -727,9 +729,9 @@ pub fn bench_runtime(scale: Scale, seed: u64, reps: usize, progress: bool) -> Ve
                 let t0 = std::time::Instant::now();
                 let r = acc_apps::run_app(app, v, &mut m, scale, seed).expect("app run");
                 walls.push(t0.elapsed().as_secs_f64());
-                sim_s = r.time.parallel_region();
-                comm_sim_s = r.time.gpu_gpu;
-                comm_wall_s = comm_wall_s.min(r.comm_wall_s);
+                sim_s = r.profile.time.parallel_region();
+                comm_sim_s = r.profile.time.gpu_gpu;
+                comm_wall_s = comm_wall_s.min(r.profile.comm_wall_s);
                 correct &= r.correct;
             }
             let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -933,8 +935,8 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
                 ngpus,
                 comm_sim_s: r.profile.time.gpu_gpu,
                 comm_wall_s: r.profile.comm_wall_s,
-                p2p_bytes: r.profile.p2p_bytes,
-                comm_elisions: r.profile.comm_elisions,
+                p2p_bytes: r.trace.counters().p2p_bytes,
+                comm_elisions: r.trace.counters().comm_elisions,
                 matches_annotated,
             });
         }
@@ -1068,7 +1070,7 @@ pub fn bench_scaling(scale: Scale, seed: u64, progress: bool) -> Vec<ScalingPoin
                     comm_sim_s: r.profile.time.gpu_gpu,
                     cpu_gpu_s: r.profile.time.cpu_gpu,
                     overlap_hidden_s: r.trace.counters().overlap_hidden_ns as f64 / 1e9,
-                    p2p_mb: r.profile.p2p_bytes as f64 / 1e6,
+                    p2p_mb: r.trace.counters().p2p_bytes as f64 / 1e6,
                     correct,
                 });
             }

@@ -115,10 +115,10 @@ fn stripped_sources_with_inference_run_bit_identical() {
         let ri = run_program(&mut m, &ExecConfig::gpus(ngpus), &inferred, scalars, arrays).unwrap();
         assert_eq!(rh.arrays, ri.arrays, "{}: arrays differ", app.name());
         assert_eq!(rh.profile.time, ri.profile.time, "{}: times differ", app.name());
-        assert_eq!(rh.profile.h2d_bytes, ri.profile.h2d_bytes);
-        assert_eq!(rh.profile.p2p_bytes, ri.profile.p2p_bytes);
+        assert_eq!(rh.trace.counters().h2d_bytes, ri.trace.counters().h2d_bytes);
+        assert_eq!(rh.trace.counters().p2p_bytes, ri.trace.counters().p2p_bytes);
         assert_eq!(
-            ri.profile.inferred_annotations as usize,
+            ri.trace.counters().inferred_annotations as usize,
             inferred
                 .kernels
                 .iter()

@@ -4,9 +4,9 @@
 //! peer-to-peer transfers, communication rounds, loader decisions, miss
 //! replays, reduction merges — onto per-GPU timelines stamped with the
 //! simulated clock. A [`Recorder`] collects them during a run; the
-//! finished [`Trace`] is the single source of truth from which the
-//! runtime derives its phase time breakdown and profiler counters, and
-//! from which the exporters render:
+//! finished [`Trace`] is the only store of a run's simulated phase
+//! times ([`Trace::totals`]) and event counters ([`Trace::counters`]),
+//! and the exporters render from it:
 //!
 //! * [`Trace::chrome_trace`] — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
@@ -234,8 +234,7 @@ pub struct CollectiveRound {
 
 /// One double-buffered halo fill whose bus time was priced concurrently
 /// with the same wave's compute — the overlap the compiler's
-/// `OverlapFact` licensed. Emitted once per launch per destination GPU
-/// when any background fill landed.
+/// `OverlapFact` licensed. Emitted once per background fill.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapWindow {
     pub launch: u64,
@@ -243,8 +242,10 @@ pub struct OverlapWindow {
     /// GPU whose halo was filled in the background.
     pub gpu: usize,
     pub bytes: u64,
-    /// Loader-critical-path seconds the overlap removed (what the same
-    /// fill would have added to the synchronous loader phase).
+    /// This fill's tail past the synchronous loader end: how long it ran
+    /// on under the kernel phase. Not a saving — concurrent fills share
+    /// one tail, and a tail longer than the kernel still stalls the
+    /// wave (see [`Counters::overlap_hidden_ns`]).
     pub hidden_s: SimTime,
     pub start: SimTime,
     pub end: SimTime,
@@ -420,8 +421,9 @@ impl Event {
     }
 }
 
-/// Phase-time totals accumulated from [`PhaseSpan`]s (the event-stream
-/// equivalent of the runtime's `TimeBreakdown`).
+/// Phase-time totals accumulated from [`PhaseSpan`]s, mirroring Fig. 8's
+/// categories: KERNELS, CPU-GPU and GPU-GPU, plus sequential host code.
+/// The only store of a run's simulated time split.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTotals {
     /// Kernel phases (slowest GPU per launch).
@@ -438,6 +440,12 @@ impl PhaseTotals {
     /// Sum over all categories.
     pub fn total(&self) -> SimTime {
         self.kernels + self.cpu_gpu + self.gpu_gpu + self.host
+    }
+
+    /// Time inside parallel regions (what the paper's Figs. 7 and 8
+    /// measure): everything except sequential host code.
+    pub fn parallel_region(&self) -> SimTime {
+        self.kernels + self.cpu_gpu + self.gpu_gpu
     }
 }
 
@@ -473,7 +481,10 @@ pub struct Counters {
     pub collective_rounds: u64,
     /// Double-buffered halo fills priced concurrently with compute.
     pub overlap_windows: u64,
-    /// Loader-critical-path nanoseconds the overlap windows removed
+    /// Simulated nanoseconds the overlap windows removed from the
+    /// critical path: per launch, the part of the background fills' tail
+    /// that ran under the kernel, `min(fill end − loader end, kernel)`.
+    /// Equals the overlap-off run's total minus the overlap-on run's
     /// (integer so the counter stays exactly comparable across runs).
     pub overlap_hidden_ns: u64,
     /// GPU turns run under a wavefront (pipelined) kernel schedule.
@@ -617,14 +628,18 @@ impl Recorder {
         }
     }
 
-    /// Record a double-buffered halo-fill overlap window (also counts it
-    /// and accumulates the hidden loader time, rounded to nanoseconds).
+    /// Record a double-buffered halo-fill overlap window (also counts it).
     pub fn overlap_window(&mut self, w: OverlapWindow) {
         self.counters.overlap_windows += 1;
-        self.counters.overlap_hidden_ns += (w.hidden_s * 1e9).round() as u64;
         if self.level.keeps_summary() {
             self.events.push(Event::Overlap(w));
         }
+    }
+
+    /// Count one launch's critical-path saving from its overlap windows,
+    /// rounded to nanoseconds (see [`Counters::overlap_hidden_ns`]).
+    pub fn overlap_hidden(&mut self, hidden_s: SimTime) {
+        self.counters.overlap_hidden_ns += (hidden_s.max(0.0) * 1e9).round() as u64;
     }
 
     /// Record one GPU's turn in a wavefront schedule (also counts it).
@@ -852,6 +867,18 @@ mod tests {
     }
 
     #[test]
+    fn totals_add_up() {
+        let t = PhaseTotals {
+            kernels: 1.0,
+            cpu_gpu: 2.0,
+            gpu_gpu: 3.0,
+            host: 0.5,
+        };
+        assert_eq!(t.total(), 6.5);
+        assert_eq!(t.parallel_region(), 6.0);
+    }
+
+    #[test]
     fn level_controls_event_retention() {
         assert!(sample_recorder(TraceLevel::Off).finish().events().is_empty());
         let summary = sample_recorder(TraceLevel::Summary).finish();
@@ -1007,26 +1034,31 @@ mod tests {
         let mk = |level| {
             let mut rec = Recorder::new(level);
             let launch = rec.launch_begin();
-            rec.overlap_window(OverlapWindow {
-                launch,
-                array: "src".into(),
-                gpu: 3,
-                bytes: 4096,
-                hidden_s: 0.25,
-                start: 1.0,
-                end: 1.5,
-            });
+            // Two concurrent fills share one tail; the launch's saving
+            // is counted once, not summed over the windows.
+            for (gpu, hidden_s) in [(3, 0.25), (4, 0.2)] {
+                rec.overlap_window(OverlapWindow {
+                    launch,
+                    array: "src".into(),
+                    gpu,
+                    bytes: 4096,
+                    hidden_s,
+                    start: 1.0,
+                    end: 1.0 + 2.0 * hidden_s,
+                });
+            }
+            rec.overlap_hidden(0.25);
             rec.finish()
         };
         for level in [TraceLevel::Off, TraceLevel::Summary, TraceLevel::Spans] {
             let c = mk(level).counters();
-            assert_eq!(c.overlap_windows, 1);
+            assert_eq!(c.overlap_windows, 2);
             assert_eq!(c.overlap_hidden_ns, 250_000_000);
         }
         assert!(mk(TraceLevel::Off).events().is_empty());
         let t = mk(TraceLevel::Summary);
         assert!(matches!(t.events()[0], Event::Overlap(_)));
-        assert_eq!(t.gpus(), vec![3]);
+        assert_eq!(t.gpus(), vec![3, 4]);
         assert!(t.chrome_trace().contains("overlap src g3"));
         assert!(t.summary_table().contains("overlap windows"));
         assert!(t.render_text()[0].contains("hidden=0.250000s"));

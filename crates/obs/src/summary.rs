@@ -106,8 +106,7 @@ pub fn table(trace: &Trace) -> String {
     out
 }
 
-/// Render the legacy one-line-per-event textual trace (what the runtime's
-/// old `Profiler::trace` strings looked like).
+/// Render the one-line-per-event textual trace.
 pub fn render_text(trace: &Trace) -> Vec<String> {
     let mut lines = Vec::new();
     for ev in trace.events() {

@@ -244,19 +244,20 @@ impl Server {
                 });
             }
         }
+        let c = result.trace.counters();
         Ok(JobSummary {
             app: req.app.name().to_string(),
             ngpus: req.ngpus,
             cache_hit,
             correct: result.correct,
             max_err: result.max_err,
-            sim_s: result.time.parallel_region(),
-            comm_sim_s: result.time.gpu_gpu,
+            sim_s: result.profile.time.parallel_region(),
+            comm_sim_s: result.profile.time.gpu_gpu,
             wall_s,
             mem_peak_bytes,
-            h2d_bytes: result.h2d_bytes,
-            d2h_bytes: result.d2h_bytes,
-            p2p_bytes: result.p2p_bytes,
+            h2d_bytes: c.h2d_bytes,
+            d2h_bytes: c.d2h_bytes,
+            p2p_bytes: c.p2p_bytes,
             chrome_trace: req.trace.then(|| result.trace.chrome_trace()),
         })
     }

@@ -142,13 +142,14 @@ fn concurrent_summaries_match_a_private_serial_engine() {
     for th in threads {
         let (i, summary) = th.join().expect("tenant thread");
         let r = &refs[i];
+        let c = r.trace.counters();
         assert!(summary.correct, "{:?}", jobs[i]);
         assert_eq!(summary.max_err, r.max_err, "{:?}", jobs[i]);
-        assert_eq!(summary.sim_s, r.time.parallel_region(), "{:?}", jobs[i]);
-        assert_eq!(summary.comm_sim_s, r.time.gpu_gpu, "{:?}", jobs[i]);
-        assert_eq!(summary.h2d_bytes, r.h2d_bytes, "{:?}", jobs[i]);
-        assert_eq!(summary.d2h_bytes, r.d2h_bytes, "{:?}", jobs[i]);
-        assert_eq!(summary.p2p_bytes, r.p2p_bytes, "{:?}", jobs[i]);
+        assert_eq!(summary.sim_s, r.profile.time.parallel_region(), "{:?}", jobs[i]);
+        assert_eq!(summary.comm_sim_s, r.profile.time.gpu_gpu, "{:?}", jobs[i]);
+        assert_eq!(summary.h2d_bytes, c.h2d_bytes, "{:?}", jobs[i]);
+        assert_eq!(summary.d2h_bytes, c.d2h_bytes, "{:?}", jobs[i]);
+        assert_eq!(summary.p2p_bytes, c.p2p_bytes, "{:?}", jobs[i]);
         let ref_peak: u64 = r.mem.iter().map(|m| m.user_peak + m.system_peak).sum();
         assert_eq!(summary.mem_peak_bytes, ref_peak, "{:?}", jobs[i]);
     }

@@ -37,7 +37,7 @@ fn main() {
     ] {
         let mut m = Machine::supercomputer_node();
         let r = run_app(App::Bfs, v, &mut m, scale, 42).expect("run");
-        let t = r.time;
+        let t = r.profile.time;
         println!(
             "{:<18} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>8}",
             v.label(),

@@ -45,10 +45,10 @@ fn main() {
         println!(
             "{:<18} {:>11.3} {:>11.3} {:>11.3} {:>9} {:>8}",
             v.label(),
-            r.time.parallel_region() * 1e3,
-            r.time.kernels * 1e3,
-            r.time.gpu_gpu * 1e3,
-            r.kernel_launches,
+            r.profile.time.parallel_region() * 1e3,
+            r.profile.time.kernels * 1e3,
+            r.profile.time.gpu_gpu * 1e3,
+            r.trace.counters().kernel_launches,
             r.correct
         );
     }

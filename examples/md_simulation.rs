@@ -43,15 +43,16 @@ fn main() {
     for v in versions {
         let mut m = Machine::desktop();
         let r = run_app(App::Md, v, &mut m, scale, 42).expect("run");
-        let t = r.time.parallel_region();
+        let t = r.profile.time.parallel_region();
+        let c = r.trace.counters();
         let base = *openmp_time.get_or_insert(t);
         println!(
             "{:<18} {:>12.3} {:>9.2}x {:>9.1} {:>9.1} {:>8}",
             v.label(),
             t * 1e3,
             base / t,
-            r.h2d_bytes as f64 / 1e6,
-            r.p2p_bytes as f64 / 1e6,
+            c.h2d_bytes as f64 / 1e6,
+            c.p2p_bytes as f64 / 1e6,
             r.correct
         );
     }

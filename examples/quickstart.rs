@@ -92,8 +92,8 @@ fn main() {
         );
         println!(
             "  transfers: {:.1} MB host->device, {:.1} MB device->host",
-            report.profile.h2d_bytes as f64 / 1e6,
-            report.profile.d2h_bytes as f64 / 1e6
+            report.trace.counters().h2d_bytes as f64 / 1e6,
+            report.trace.counters().d2h_bytes as f64 / 1e6
         );
     }
 }

@@ -47,7 +47,7 @@ fn main() {
             t.kernels * 1e3,
             t.cpu_gpu * 1e3,
             t.gpu_gpu * 1e3,
-            r.profile.p2p_bytes as f64 / 1e6,
+            r.trace.counters().p2p_bytes as f64 / 1e6,
             err
         );
     }

@@ -50,7 +50,7 @@ fn gpu_count_is_transparent() {
             let mut m = Machine::supercomputer_node();
             let r = run_app(app, Version::Proposal(n), &mut m, Scale::Small, 77).unwrap();
             assert!(r.correct);
-            outs.push(r.kernel_launches);
+            outs.push(r.trace.counters().kernel_launches);
         }
         // Same control flow on every GPU count (same number of launches).
         assert!(outs.windows(2).all(|w| w[0] == w[1]), "{:?}", outs);
@@ -247,14 +247,7 @@ fn simulation_is_deterministic() {
     let run = || {
         let mut m = Machine::supercomputer_node();
         let r = run_app(App::Bfs, Version::Proposal(3), &mut m, Scale::Small, 99).unwrap();
-        (
-            r.time.kernels,
-            r.time.cpu_gpu,
-            r.time.gpu_gpu,
-            r.h2d_bytes,
-            r.p2p_bytes,
-            r.kernel_launches,
-        )
+        (r.profile.time, r.trace.counters())
     };
     let a = run();
     let b = run();

@@ -392,7 +392,7 @@ proptest! {
             prop_assert_eq!(re.arrays[1].to_f64_vec(), rf.arrays[1].to_f64_vec());
             if elided {
                 prop_assert_eq!(
-                    rf.profile.miss_records, 0,
+                    rf.trace.counters().miss_records, 0,
                     "elided kernel missed under re-armed checks (s={} off={} ngpus={})",
                     s, off, ngpus
                 );
@@ -449,7 +449,7 @@ for (int i = 0; i < n; i++) out[(i + c) % n] = a[i] + 1.0;\n\
             // A nonzero rotation always pushes part of the first
             // partition's writes outside it: the check was needed.
             prop_assert!(
-                rep.profile.miss_records > 0,
+                rep.trace.counters().miss_records > 0,
                 "ngpus={} c={} recorded no misses", ngpus, c
             );
         }
