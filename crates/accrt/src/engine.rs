@@ -72,18 +72,6 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Wrap an already-compiled program (no engine involved — useful
-    /// for tests and for adopting programs compiled elsewhere).
-    pub fn from_program(prog: CompiledProgram) -> CompiledKernel {
-        let ir_hash = ir_hash_of(&prog);
-        let mapper = TaskMapper::shared(prog.kernels.len());
-        CompiledKernel {
-            prog,
-            ir_hash,
-            mapper,
-        }
-    }
-
     /// Hash of the compiled IR — the compilation-cache identity. Two
     /// requests whose sources lower to the same program get the same
     /// hash (and, through an [`Engine`], the same `Arc`).
@@ -254,11 +242,6 @@ impl Engine {
     pub fn with_cache_capacity(mut self, cap: usize) -> Engine {
         self.cache_capacity = cap.max(1);
         self
-    }
-
-    /// The machine kind each [`Engine::launch`] job runs on.
-    pub fn machine_kind(&self) -> MachineKind {
-        self.kind
     }
 
     /// The default launch configuration.

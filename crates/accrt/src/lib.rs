@@ -48,7 +48,7 @@ pub use ranges::RangeSet;
 /// `use acc_runtime::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        run_program, CompiledKernel, Engine, EngineStats, Exec, ExecConfig, ExecMode, RunError,
+        run_program, CompiledKernel, Engine, EngineStats, ExecConfig, ExecMode, RunError,
         RunReport, SanitizeLevel, Schedule, Trace, TraceLevel,
     };
 }
@@ -620,33 +620,4 @@ pub(crate) fn run_with(
     machine.bus.set_journal(cfg.tracing.keeps_spans());
     let run = exec::Run::new(machine, cfg, prog, scalars, arrays, mapper, pool);
     run.run()
-}
-
-/// Thin compatibility wrapper preserving the consuming one-shot shape
-/// (`Exec::new(...).run(...)`) on top of [`run_program`].
-///
-/// Kept so code written against the pre-[`Engine`] API keeps compiling
-/// and stays bit-identical; new code should hold an [`Engine`] (for
-/// compile-once/run-many and pooling) or call [`run_program`] directly.
-pub struct Exec<'m> {
-    machine: &'m mut Machine,
-    cfg: ExecConfig,
-}
-
-impl<'m> Exec<'m> {
-    /// Bind a machine and a runtime configuration.
-    pub fn new(machine: &'m mut Machine, cfg: ExecConfig) -> Exec<'m> {
-        Exec { machine, cfg }
-    }
-
-    /// Run one program, consuming the executor. Exactly equivalent to
-    /// [`run_program`] with the same arguments.
-    pub fn run(
-        self,
-        prog: &CompiledProgram,
-        scalars: Vec<Value>,
-        arrays: Vec<Buffer>,
-    ) -> Result<RunReport, RunError> {
-        run_program(self.machine, &self.cfg, prog, scalars, arrays)
-    }
 }

@@ -178,6 +178,10 @@ pub fn reference(input: &Heat2dInput) -> Vec<f64> {
     a
 }
 
+/// Oracle bound on [`max_error`]: halo copies move values, they never
+/// reassociate arithmetic, so every GPU count matches the oracle exactly.
+pub const TOLERANCE: f64 = 1e-12;
+
 /// Maximum absolute element difference against the oracle.
 pub fn max_error(got: &[f64], reference: &[f64]) -> f64 {
     got.iter()

@@ -420,7 +420,7 @@ pub fn run_app_compiled(
                 &report.arrays[heat2d::PLATE_ARRAY].to_f64_vec(),
                 &expect,
             );
-            let ok = err < 1e-12;
+            let ok = err < heat2d::TOLERANCE;
             (report, ok, err)
         }
         App::Pagerank => {
@@ -437,9 +437,7 @@ pub fn run_app_compiled(
                 &report.arrays[pagerank::RANK_ARRAY].to_f64_vec(),
                 &expect,
             );
-            // The gather's reduction merge reorders float sums across
-            // GPU counts.
-            let ok = err < 1e-9;
+            let ok = err < pagerank::TOLERANCE;
             (report, ok, err)
         }
         App::Heat2dHalo2 => {

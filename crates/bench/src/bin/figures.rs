@@ -12,113 +12,122 @@
 //! `extension-stencil`, `trace`, `bench`, `bench-diff`, `all`.
 //! Scales: `small` (seconds), `scaled` (default; structure-preserving
 //! reductions of the paper inputs), `paper` (full published sizes).
+//! An unknown target, option or value prints the usage line and exits 2.
 //!
 //! The `trace` target runs the heat2d stencil on 3 simulated GPUs with
 //! full span tracing and writes a Chrome trace-event file (open it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) next to the phase
 //! summary table.
 //!
-//! The `bench` target measures the simulator's own wall-clock (not
-//! simulated time) for every app × GPU count and writes
-//! `BENCH_runtime.json` (see `docs/benchmarks.md`); `--reps N` controls
-//! repetitions per configuration. `bench-diff <old.json> <new.json>`
-//! compares two such artifacts and exits non-zero on a wall-clock
-//! regression over tolerance (`--wall-tolerance F`, default 0.15) at
-//! fixed scale/seed or any simulated-time drift.
+//! The `bench` target runs every app × GPU count once plus the comm and
+//! scaling experiments and writes their simulated results as
+//! `BENCH_runtime.json` (see `docs/benchmarks.md`).
+//! `bench-diff <old.json> <new.json>` compares two such artifacts exactly
+//! and exits 1 on any difference or wrong result, 2 on malformed input.
 
 use acc_apps::Scale;
 use acc_bench::*;
 use acc_obs::json::Value;
 use std::fmt::Write as _;
 
+const TARGETS: [&str; 14] = [
+    "table1",
+    "table2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "ablation-chunk",
+    "ablation-layout",
+    "ablation-placement",
+    "ablation-loader-reuse",
+    "extension-stencil",
+    "trace",
+    "bench",
+    "bench-diff",
+    "all",
+];
+
+const USAGE: &str = "usage: figures [table1|table2|fig7|fig8|fig9|ablation-chunk|\
+ablation-layout|ablation-placement|ablation-loader-reuse|extension-stencil|trace|bench|all] \
+[--scale small|scaled|paper] [--json FILE] [--seed N]
+       figures bench-diff <old.json> <new.json>";
+
+#[derive(Debug, PartialEq)]
 struct Args {
     target: String,
     scale: Scale,
     json: Option<String>,
     seed: u64,
-    reps: usize,
-    /// Wall-clock regression tolerance for `bench-diff` (fraction, e.g.
-    /// 0.15). CI passes a generous value because its runners are noisy.
-    wall_tolerance: f64,
-    /// Positional arguments after the target (`bench-diff` file paths).
-    free: Vec<String>,
+    /// The two artifact paths of `bench-diff`; empty for every other
+    /// target.
+    paths: Vec<String>,
 }
 
-fn parse_args() -> Args {
+/// Parse `argv` (without the program name). `Ok(None)` asks for the
+/// usage text; `Err` names the bad argument.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         target: "all".to_string(),
         scale: Scale::Scaled,
         json: None,
         seed: 42,
-        reps: 3,
-        wall_tolerance: DEFAULT_WALL_TOLERANCE,
-        free: Vec::new(),
+        paths: Vec::new(),
     };
-    let mut have_target = false;
-    let mut it = std::env::args().skip(1);
+    let mut target = None;
+    let mut it = argv.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let mut value = || it.next().ok_or(format!("{a} needs a value"));
+        match a {
             "--scale" => {
-                args.scale = match it.next().as_deref() {
-                    Some("small") => Scale::Small,
-                    Some("scaled") => Scale::Scaled,
-                    Some("paper") => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
+                args.scale = match value()? {
+                    "small" => Scale::Small,
+                    "scaled" => Scale::Scaled,
+                    "paper" => Scale::Paper,
+                    other => return Err(format!("unknown scale `{other}`")),
                 }
             }
-            "--json" => args.json = it.next(),
-            "--seed" => args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42),
-            "--reps" => args.reps = it.next().and_then(|s| s.parse().ok()).unwrap_or(3),
-            "--wall-tolerance" => {
-                let raw = it.next();
-                args.wall_tolerance = match raw.as_deref().map(str::parse::<f64>) {
-                    Some(Ok(t)) if t >= 0.0 && t.is_finite() => t,
-                    _ => {
-                        eprintln!("bad --wall-tolerance {raw:?} (want a non-negative fraction)");
-                        std::process::exit(2);
-                    }
+            "--json" => args.json = Some(value()?.to_string()),
+            "--seed" => {
+                let v = value()?;
+                args.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
+            }
+            "--help" | "-h" => return Ok(None),
+            opt if opt.starts_with('-') => return Err(format!("unknown option `{opt}`")),
+            t if target.is_none() => {
+                if !TARGETS.contains(&t) {
+                    return Err(format!("unknown target `{t}`"));
                 }
+                target = Some(t);
             }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: figures [table1|table2|fig7|fig8|fig9|ablation-chunk|\
-                     ablation-layout|ablation-placement|ablation-loader-reuse|\
-                     extension-stencil|trace|bench|all] [--scale small|scaled|paper] \
-                     [--json FILE] [--seed N] [--reps N]\n\
-                     \x20      figures bench-diff <old.json> <new.json> [--wall-tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            t if !have_target => {
-                args.target = t.to_string();
-                have_target = true;
-            }
-            t => args.free.push(t.to_string()),
+            path => args.paths.push(path.to_string()),
         }
     }
-    args
+    if let Some(t) = target {
+        args.target = t.to_string();
+    }
+    let want = if args.target == "bench-diff" { 2 } else { 0 };
+    if args.paths.len() != want {
+        return Err(format!(
+            "`{}` takes {want} file arguments, got {}",
+            args.target,
+            args.paths.len()
+        ));
+    }
+    Ok(Some(args))
 }
 
 /// The `bench-diff` target: compare two `BENCH_runtime.json` artifacts.
-/// Exit 0 when clean, 1 on a regression (wall-clock over tolerance,
-/// simulated-time drift, missing point, scale/seed mismatch, wrong
-/// result), 2 on malformed input.
+/// Exit 0 when every value matches, 1 on any mismatch or wrong result,
+/// 2 on unreadable or malformed input.
 fn run_bench_diff_target(args: &Args) -> ! {
-    let [old_path, new_path] = args.free.as_slice() else {
-        eprintln!("usage: figures bench-diff <old.json> <new.json>");
-        std::process::exit(2);
-    };
     let read = |p: &str| {
         std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("bench-diff: cannot read {p}: {e}");
             std::process::exit(2);
         })
     };
-    let (old_doc, new_doc) = (read(old_path), read(new_path));
-    match bench_diff(&old_doc, &new_doc, args.wall_tolerance) {
+    let (old_doc, new_doc) = (read(&args.paths[0]), read(&args.paths[1]));
+    match bench_diff(&old_doc, &new_doc) {
         Ok(report) => {
             print!("{}", report.render());
             std::process::exit(if report.failed() { 1 } else { 0 });
@@ -167,42 +176,36 @@ fn run_trace_target(args: &Args) {
     eprintln!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
 }
 
-/// The `bench` target: the simulator's own wall-clock per app × GPU
-/// count, written as `BENCH_runtime.json` so the host-side cost of the
-/// runtime can be tracked across commits (simulated times are recorded
-/// alongside and must not move).
+/// The `bench` target: every simulated result `bench-diff` pins,
+/// printed as tables and written as `BENCH_runtime.json`.
 fn run_bench_target(args: &Args) {
-    let scale_name = match args.scale {
-        Scale::Small => "small",
-        Scale::Scaled => "scaled",
-        Scale::Paper => "paper",
-    };
-    eprintln!("measuring wall-clock at scale `{scale_name}`, {} reps each", args.reps);
-    let points = bench_runtime(args.scale, args.seed, args.reps, true);
+    eprintln!(
+        "running the bench points at scale `{}`",
+        scale_name(args.scale)
+    );
+    let points = bench_runtime(args.scale, args.seed, true);
     println!(
-        "  {:<8} {:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "App", "GPUs", "wall best", "wall mean", "sim time", "comm sim", "comm wall", "correct"
+        "  {:<8} {:>5} {:>12} {:>12} {:>8}",
+        "App", "GPUs", "sim time", "comm sim", "correct"
     );
     for p in &points {
         println!(
-            "  {:<8} {:>5} {:>11.3}s {:>11.3}s {:>11.6}s {:>11.6}s {:>11.4}s {:>8}",
-            p.app, p.ngpus, p.wall_best_s, p.wall_mean_s, p.sim_s, p.comm_sim_s, p.comm_wall_s,
-            p.correct
+            "  {:<8} {:>5} {:>11.6}s {:>11.6}s {:>8}",
+            p.app, p.ngpus, p.sim_s, p.comm_sim_s, p.correct
         );
     }
     let comm = bench_comm(args.scale, args.seed, true);
     println!(
-        "  {:<8} {:<15} {:>5} {:>12} {:>12} {:>10} {:>8} {:>8}",
-        "App", "Mode", "GPUs", "comm sim", "comm wall", "p2p MB", "elided", "matches"
+        "  {:<8} {:<15} {:>5} {:>12} {:>10} {:>8} {:>8}",
+        "App", "Mode", "GPUs", "comm sim", "p2p MB", "elided", "matches"
     );
     for c in &comm {
         println!(
-            "  {:<8} {:<15} {:>5} {:>11.6}s {:>11.4}s {:>10.2} {:>8} {:>8}",
+            "  {:<8} {:<15} {:>5} {:>11.6}s {:>10.2} {:>8} {:>8}",
             c.app,
             c.mode,
             c.ngpus,
             c.comm_sim_s,
-            c.comm_wall_s,
             c.p2p_bytes as f64 / 1e6,
             c.comm_elisions,
             c.matches_annotated
@@ -211,7 +214,15 @@ fn run_bench_target(args: &Args) {
     let scaling = bench_scaling(args.scale, args.seed, true);
     println!(
         "  {:<8} {:>5} {:<8} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>8}",
-        "App", "GPUs", "Topo", "overlap", "sim time", "comm sim", "cpu-gpu", "hidden", "p2p MB",
+        "App",
+        "GPUs",
+        "Topo",
+        "overlap",
+        "sim time",
+        "comm sim",
+        "cpu-gpu",
+        "hidden",
+        "p2p MB",
         "correct"
     );
     for s in &scaling {
@@ -229,100 +240,7 @@ fn run_bench_target(args: &Args) {
             s.correct
         );
     }
-    let serve = bench_serve(8, 6, true);
-    println!(
-        "  serve: {} tenants x {} jobs: {:.1} jobs/s, p50 {:.1} ms, p99 {:.1} ms, \
-         cache hit rate {:.1}%, correct {}",
-        serve.tenants,
-        serve.jobs_per_tenant,
-        serve.jobs_per_s,
-        serve.p50_ms,
-        serve.p99_ms,
-        serve.cache_hit_rate * 100.0,
-        serve.all_correct
-    );
-    let json = Value::obj([
-        ("scale", Value::str(scale_name)),
-        ("seed", Value::num(args.seed as f64)),
-        (
-            "points",
-            Value::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Value::obj([
-                            ("app", Value::str(&p.app)),
-                            ("ngpus", Value::num(p.ngpus as f64)),
-                            ("wall_best_s", Value::num(p.wall_best_s)),
-                            ("wall_mean_s", Value::num(p.wall_mean_s)),
-                            ("sim_s", Value::num(p.sim_s)),
-                            ("comm_sim_s", Value::num(p.comm_sim_s)),
-                            ("comm_wall_s", Value::num(p.comm_wall_s)),
-                            ("correct", Value::Bool(p.correct)),
-                            ("reps", Value::num(p.reps as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "comm_experiments",
-            Value::Arr(
-                comm.iter()
-                    .map(|c| {
-                        Value::obj([
-                            ("app", Value::str(&c.app)),
-                            ("mode", Value::str(&c.mode)),
-                            ("ngpus", Value::num(c.ngpus as f64)),
-                            ("comm_sim_s", Value::num(c.comm_sim_s)),
-                            ("comm_wall_s", Value::num(c.comm_wall_s)),
-                            ("p2p_bytes", Value::num(c.p2p_bytes as f64)),
-                            ("comm_elisions", Value::num(c.comm_elisions as f64)),
-                            ("matches_annotated", Value::Bool(c.matches_annotated)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "scaling",
-            Value::Arr(
-                scaling
-                    .iter()
-                    .map(|s| {
-                        Value::obj([
-                            ("app", Value::str(&s.app)),
-                            ("ngpus", Value::num(s.ngpus as f64)),
-                            ("topo", Value::str(&s.topo)),
-                            ("overlap", Value::Bool(s.overlap)),
-                            ("sim_s", Value::num(s.sim_s)),
-                            ("comm_sim_s", Value::num(s.comm_sim_s)),
-                            ("cpu_gpu_s", Value::num(s.cpu_gpu_s)),
-                            ("overlap_hidden_s", Value::num(s.overlap_hidden_s)),
-                            ("p2p_mb", Value::num(s.p2p_mb)),
-                            ("correct", Value::Bool(s.correct)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "serve",
-            Value::obj([
-                ("tenants", Value::num(serve.tenants as f64)),
-                ("jobs_per_tenant", Value::num(serve.jobs_per_tenant as f64)),
-                ("jobs_total", Value::num(serve.jobs_total as f64)),
-                ("jobs_ok", Value::num(serve.jobs_ok as f64)),
-                ("wall_s", Value::num(serve.wall_s)),
-                ("jobs_per_s", Value::num(serve.jobs_per_s)),
-                ("p50_ms", Value::num(serve.p50_ms)),
-                ("p99_ms", Value::num(serve.p99_ms)),
-                ("cache_hit_rate", Value::num(serve.cache_hit_rate)),
-                ("all_correct", Value::Bool(serve.all_correct)),
-            ]),
-        ),
-    ])
-    .to_string_pretty();
+    let json = bench_json(args.scale, args.seed, &points, &comm, &scaling).to_string_pretty();
     let path = args
         .json
         .clone()
@@ -332,7 +250,18 @@ fn run_bench_target(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("figures: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     if args.target == "trace" {
         run_trace_target(&args);
         return;
@@ -733,5 +662,69 @@ fn main() {
         let json = Value::obj(out).to_string_pretty();
         std::fs::write(&path, json).expect("write json");
         eprintln!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_every_option_parse() {
+        let a = parse(&[]).unwrap().unwrap();
+        assert_eq!(
+            (a.target.as_str(), a.scale, a.json, a.seed),
+            ("all", Scale::Scaled, None, 42)
+        );
+        let a = parse(&[
+            "fig7", "--scale", "small", "--json", "o.json", "--seed", "7",
+        ])
+        .unwrap()
+        .unwrap();
+        assert_eq!(
+            a,
+            Args {
+                target: "fig7".into(),
+                scale: Scale::Small,
+                json: Some("o.json".into()),
+                seed: 7,
+                paths: vec![],
+            }
+        );
+        let a = parse(&["bench-diff", "old.json", "new.json"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(a.paths, ["old.json", "new.json"]);
+        for t in TARGETS {
+            let paths: &[&str] = if t == "bench-diff" { &["a", "b"] } else { &[] };
+            assert!(parse(&[&[t], paths].concat()).is_ok(), "{t}");
+        }
+        assert_eq!(parse(&["--help"]), Ok(None));
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for (argv, msg) in [
+            (&["no-such-target"][..], "unknown target `no-such-target`"),
+            (&["fig10", "--seed", "1"], "unknown target `fig10`"),
+            (&["fig7", "--seed", "abc"], "bad --seed `abc`"),
+            (&["fig7", "--seed", "-1"], "bad --seed `-1`"),
+            (&["fig7", "--seed"], "--seed needs a value"),
+            (&["trace", "--json"], "--json needs a value"),
+            (&["--scale", "huge"], "unknown scale `huge`"),
+            (&["--scale"], "--scale needs a value"),
+            (&["bench", "--reps", "1"], "unknown option `--reps`"),
+            (
+                &["bench-diff", "a.json"],
+                "`bench-diff` takes 2 file arguments, got 1",
+            ),
+            (&["fig7", "extra"], "`fig7` takes 0 file arguments, got 1"),
+        ] {
+            assert_eq!(parse(argv), Err(msg.to_string()), "{argv:?}");
+        }
     }
 }

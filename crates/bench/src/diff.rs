@@ -1,279 +1,37 @@
 //! `bench-diff` — compare two `BENCH_runtime.json` artifacts (see
-//! [`crate::bench_runtime`]) and decide whether the newer one represents
-//! a host-side performance regression or, worse, a simulated-semantics
-//! change.
+//! [`crate::bench_json`]) exactly.
 //!
-//! The contract it enforces across commits:
+//! Every value in the artifact is simulated, so it is a pure function of
+//! the code, the scale and the seed. The comparison is one walk over the
+//! two JSON trees:
 //!
-//! * both artifacts must come from the same configuration (`scale` and
-//!   `seed` equal) — wall-clock numbers at different scales are not
-//!   comparable;
-//! * every point (app × GPU count) of the old artifact must still exist;
-//! * `sim_s` must match *exactly* per point: simulated time is
-//!   deterministic, so any drift means the runtime changed observable
-//!   semantics, not just host speed;
-//! * `wall_best_s` may regress by at most the tolerance (15% by
-//!   default), with a small absolute floor so microsecond-scale jitter
-//!   on near-instant configurations cannot trip it;
-//! * every point of the new artifact must be `correct`.
+//! * every leaf path present in either file must be present in both and
+//!   equal — numbers within a 1e-9 relative slack that covers decimal
+//!   round-tripping through the JSON writer, nothing more;
+//! * every `correct` in the new file must be `true`.
 //!
-//! [`bench_diff`] returns `Err` only for malformed input; comparison
-//! failures are collected in [`DiffReport::problems`] so the CLI can
-//! print the full table before exiting non-zero.
+//! Each mismatch is reported by path (`scaling[7].sim_s: a -> b`). Any
+//! intended change to a simulated value therefore means regenerating the
+//! committed baseline in the same change. Host wall clock is not this
+//! artifact's concern; `perfbench` measures it.
+//!
+//! [`bench_diff`] returns `Err` only for malformed input; mismatches are
+//! collected in [`DiffReport::problems`] so the CLI can print all of them
+//! before exiting non-zero.
 
 use acc_obs::json::{self, Value};
 
-/// Default allowed relative wall-clock regression (`0.15` = +15%).
-pub const DEFAULT_WALL_TOLERANCE: f64 = 0.15;
-
-/// Absolute slack (seconds) under which a relative wall regression is
-/// ignored: a 0.3 ms → 0.4 ms move is +33% but pure scheduler noise.
-const WALL_ABS_FLOOR_S: f64 = 1e-3;
-
-/// Relative slack for the `sim_s` equality check — covers only decimal
+/// Relative slack for number equality — covers only decimal
 /// round-tripping through the JSON writer, not real drift.
-const SIM_REL_EPS: f64 = 1e-9;
+const NUM_REL_EPS: f64 = 1e-9;
 
-/// One parsed measurement point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPoint {
-    pub app: String,
-    pub ngpus: usize,
-    pub wall_best_s: f64,
-    pub wall_mean_s: f64,
-    pub sim_s: f64,
-    /// Simulated comm-phase seconds. `None` for artifacts written before
-    /// the column existed; present on both sides it is held to the same
-    /// exact-match contract as `sim_s`.
-    pub comm_sim_s: Option<f64>,
-    pub correct: bool,
-}
-
-/// One parsed `comm_experiments` entry (app × compile/run mode).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommExpPoint {
-    pub app: String,
-    pub mode: String,
-    pub comm_sim_s: f64,
-    pub comm_elisions: u64,
-    pub matches_annotated: bool,
-}
-
-/// One parsed `scaling` entry (app × GPU count × topology × overlap;
-/// see `acc_bench::bench_scaling`). All four time fields are simulated
-/// seconds and therefore deterministic: present on both sides they are
-/// held to the same exact-match contract as `sim_s` in `points`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingSecPoint {
-    pub app: String,
-    pub ngpus: usize,
-    pub topo: String,
-    pub overlap: bool,
-    pub sim_s: f64,
-    pub comm_sim_s: f64,
-    pub cpu_gpu_s: f64,
-    pub overlap_hidden_s: f64,
-    pub correct: bool,
-}
-
-/// The parsed `serve` section: one in-process daemon throughput
-/// measurement (see `acc_bench::bench_serve`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSection {
-    pub tenants: usize,
-    pub jobs_total: usize,
-    pub jobs_per_s: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub cache_hit_rate: f64,
-    pub all_correct: bool,
-}
-
-/// One parsed `BENCH_runtime.json` artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchFile {
-    pub scale: String,
-    pub seed: u64,
-    pub points: Vec<BenchPoint>,
-    /// Empty for artifacts written before the section existed.
-    pub comm_experiments: Vec<CommExpPoint>,
-    /// Empty for artifacts written before the topology scaling section
-    /// existed.
-    pub scaling: Vec<ScalingSecPoint>,
-    /// `None` for artifacts written before the daemon existed.
-    pub serve: Option<ServeSection>,
-}
-
-/// Parse a `BENCH_runtime.json` document.
-pub fn parse_bench_file(src: &str, which: &str) -> Result<BenchFile, String> {
-    let doc = json::parse(src).map_err(|e| format!("{which}: {e}"))?;
-    let field = |v: &Value, key: &str| -> Result<Value, String> {
-        v.get(key)
-            .cloned()
-            .ok_or_else(|| format!("{which}: missing field `{key}`"))
-    };
-    let scale = field(&doc, "scale")?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{which}: `scale` is not a string"))?;
-    let seed = field(&doc, "seed")?
-        .as_f64()
-        .ok_or_else(|| format!("{which}: `seed` is not a number"))? as u64;
-    let raw = field(&doc, "points")?;
-    let arr = raw
-        .as_arr()
-        .ok_or_else(|| format!("{which}: `points` is not an array"))?;
-    let mut points = Vec::with_capacity(arr.len());
-    for (i, p) in arr.iter().enumerate() {
-        let num = |key: &str| -> Result<f64, String> {
-            p.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{which}: points[{i}]: bad `{key}`"))
-        };
-        let correct = match p.get("correct") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err(format!("{which}: points[{i}]: bad `correct`")),
-        };
-        points.push(BenchPoint {
-            app: p
-                .get("app")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{which}: points[{i}]: bad `app`"))?
-                .to_string(),
-            ngpus: num("ngpus")? as usize,
-            wall_best_s: num("wall_best_s")?,
-            wall_mean_s: num("wall_mean_s")?,
-            sim_s: num("sim_s")?,
-            comm_sim_s: p.get("comm_sim_s").and_then(Value::as_f64),
-            correct,
-        });
-    }
-    // `comm_experiments` appeared after the first artifacts were
-    // committed: absent means "old format", not malformed — but a
-    // present section must parse fully.
-    let mut comm_experiments = Vec::new();
-    if let Some(raw) = doc.get("comm_experiments") {
-        let arr = raw
-            .as_arr()
-            .ok_or_else(|| format!("{which}: `comm_experiments` is not an array"))?;
-        for (i, c) in arr.iter().enumerate() {
-            let sfield = |key: &str| -> Result<String, String> {
-                c.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{which}: comm_experiments[{i}]: bad `{key}`"))
-            };
-            let num = |key: &str| -> Result<f64, String> {
-                c.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which}: comm_experiments[{i}]: bad `{key}`"))
-            };
-            let matches_annotated = match c.get("matches_annotated") {
-                Some(Value::Bool(b)) => *b,
-                _ => {
-                    return Err(format!(
-                        "{which}: comm_experiments[{i}]: bad `matches_annotated`"
-                    ))
-                }
-            };
-            comm_experiments.push(CommExpPoint {
-                app: sfield("app")?,
-                mode: sfield("mode")?,
-                comm_sim_s: num("comm_sim_s")?,
-                comm_elisions: num("comm_elisions")? as u64,
-                matches_annotated,
-            });
-        }
-    }
-    // The `scaling` section postdates the flat-bus artifacts: absent
-    // means "old format", a present section must parse fully.
-    let mut scaling = Vec::new();
-    if let Some(raw) = doc.get("scaling") {
-        let arr = raw
-            .as_arr()
-            .ok_or_else(|| format!("{which}: `scaling` is not an array"))?;
-        for (i, s) in arr.iter().enumerate() {
-            let sfield = |key: &str| -> Result<String, String> {
-                s.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{which}: scaling[{i}]: bad `{key}`"))
-            };
-            let num = |key: &str| -> Result<f64, String> {
-                s.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which}: scaling[{i}]: bad `{key}`"))
-            };
-            let flag = |key: &str| -> Result<bool, String> {
-                match s.get(key) {
-                    Some(Value::Bool(b)) => Ok(*b),
-                    _ => Err(format!("{which}: scaling[{i}]: bad `{key}`")),
-                }
-            };
-            scaling.push(ScalingSecPoint {
-                app: sfield("app")?,
-                ngpus: num("ngpus")? as usize,
-                topo: sfield("topo")?,
-                overlap: flag("overlap")?,
-                sim_s: num("sim_s")?,
-                comm_sim_s: num("comm_sim_s")?,
-                cpu_gpu_s: num("cpu_gpu_s")?,
-                overlap_hidden_s: num("overlap_hidden_s")?,
-                correct: flag("correct")?,
-            });
-        }
-    }
-    // Like `comm_experiments`, the `serve` section postdates the first
-    // committed artifacts: an old baseline without it is "section not
-    // yet recorded", never a mismatch. A present section must parse.
-    let serve = match doc.get("serve") {
-        None | Some(Value::Null) => None,
-        Some(s) => {
-            let num = |key: &str| -> Result<f64, String> {
-                s.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{which}: serve: bad `{key}`"))
-            };
-            let all_correct = match s.get("all_correct") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err(format!("{which}: serve: bad `all_correct`")),
-            };
-            Some(ServeSection {
-                tenants: num("tenants")? as usize,
-                jobs_total: num("jobs_total")? as usize,
-                jobs_per_s: num("jobs_per_s")?,
-                p50_ms: num("p50_ms")?,
-                p99_ms: num("p99_ms")?,
-                cache_hit_rate: num("cache_hit_rate")?,
-                all_correct,
-            })
-        }
-    };
-    Ok(BenchFile { scale, seed, points, comm_experiments, scaling, serve })
-}
-
-/// One old-vs-new point comparison.
-#[derive(Debug, Clone)]
-pub struct DiffLine {
-    pub app: String,
-    pub ngpus: usize,
-    pub old_wall_s: f64,
-    pub new_wall_s: f64,
-    /// `new / old`; > 1 is slower.
-    pub ratio: f64,
-    pub sim_matches: bool,
-    pub regressed: bool,
-}
-
-/// The full comparison result.
+/// The comparison result.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
-    pub lines: Vec<DiffLine>,
-    /// Human-readable failures; non-empty means the diff should fail.
+    /// Leaves present in both files and compared.
+    pub leaves: usize,
+    /// One line per mismatch; non-empty means the diff fails.
     pub problems: Vec<String>,
-    /// Informational observations (e.g. a section the old baseline
-    /// predates); never fail the diff.
-    pub notes: Vec<String>,
 }
 
 impl DiffReport {
@@ -282,731 +40,393 @@ impl DiffReport {
         !self.problems.is_empty()
     }
 
-    /// Render the per-point table plus any problems.
+    /// Render every problem, or a one-line all-clear.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  {:<8} {:>5} {:>12} {:>12} {:>8}  verdict",
-            "App", "GPUs", "old wall", "new wall", "ratio"
-        );
-        for l in &self.lines {
-            let verdict = if !l.sim_matches {
-                "SIM MISMATCH"
-            } else if l.regressed {
-                "REGRESSED"
-            } else if l.ratio < 1.0 {
-                "faster"
-            } else {
-                "ok"
-            };
-            let _ = writeln!(
-                out,
-                "  {:<8} {:>5} {:>11.3}s {:>11.3}s {:>7.2}x  {}",
-                l.app, l.ngpus, l.old_wall_s, l.new_wall_s, l.ratio, verdict
-            );
-        }
-        for n in &self.notes {
-            let _ = writeln!(out, "NOTE: {n}");
-        }
         for p in &self.problems {
-            let _ = writeln!(out, "FAIL: {p}");
+            out.push_str(&format!("FAIL: {p}\n"));
         }
         if !self.failed() {
-            let _ = writeln!(out, "OK: no wall-clock regression, simulated times unchanged");
+            out.push_str(&format!("OK: all {} values identical\n", self.leaves));
         }
         out
     }
 }
 
-/// Compare two parsed artifacts. `wall_tolerance` is the allowed
-/// relative `wall_best_s` regression (e.g. `0.15`).
-pub fn diff_bench(old: &BenchFile, new: &BenchFile, wall_tolerance: f64) -> DiffReport {
-    let mut r = DiffReport::default();
-    if old.scale != new.scale {
-        r.problems.push(format!(
-            "scale mismatch: old `{}` vs new `{}` (wall times are only comparable at a fixed scale)",
-            old.scale, new.scale
-        ));
-    }
-    if old.seed != new.seed {
-        r.problems.push(format!(
-            "seed mismatch: old {} vs new {}",
-            old.seed, new.seed
-        ));
-    }
-    for op in &old.points {
-        let Some(np) = new
-            .points
-            .iter()
-            .find(|p| p.app == op.app && p.ngpus == op.ngpus)
-        else {
-            r.problems.push(format!(
-                "point {} x{} present in old but missing from new",
-                op.app, op.ngpus
-            ));
-            continue;
-        };
-        let sim_matches = (np.sim_s - op.sim_s).abs()
-            <= SIM_REL_EPS * op.sim_s.abs().max(np.sim_s.abs());
-        if !sim_matches {
-            r.problems.push(format!(
-                "simulated time moved for {} x{}: {} -> {} (host-side changes must not alter simulated semantics)",
-                op.app, op.ngpus, op.sim_s, np.sim_s
-            ));
-        }
-        // The comm-phase column is a component of `sim_s` and equally
-        // deterministic; compare only when both artifacts carry it.
-        if let (Some(oc), Some(nc)) = (op.comm_sim_s, np.comm_sim_s) {
-            if (nc - oc).abs() > SIM_REL_EPS * oc.abs().max(nc.abs()) {
-                r.problems.push(format!(
-                    "simulated comm-phase time moved for {} x{}: {oc} -> {nc}",
-                    op.app, op.ngpus
-                ));
-            }
-        }
-        // A zero, negative or non-finite baseline wall time cannot
-        // anchor a ratio — dividing by it yields inf/NaN, and silently
-        // substituting 1.0 would wave any regression through. Reject the
-        // baseline loudly instead.
-        let ratio = if op.wall_best_s.is_finite() && op.wall_best_s > 0.0 {
-            np.wall_best_s / op.wall_best_s
-        } else {
-            r.problems.push(format!(
-                "unusable baseline for {} x{}: old wall_best_s = {} (must be finite and > 0; re-record the baseline artifact)",
-                op.app, op.ngpus, op.wall_best_s
-            ));
-            1.0
-        };
-        let regressed = ratio > 1.0 + wall_tolerance
-            && np.wall_best_s - op.wall_best_s > WALL_ABS_FLOOR_S;
-        if regressed {
-            r.problems.push(format!(
-                "wall-clock regression for {} x{}: {:.3}s -> {:.3}s ({:+.1}%, tolerance {:.0}%)",
-                op.app,
-                op.ngpus,
-                op.wall_best_s,
-                np.wall_best_s,
-                (ratio - 1.0) * 100.0,
-                wall_tolerance * 100.0
-            ));
-        }
-        if !np.correct {
-            r.problems
-                .push(format!("new point {} x{} reports correct=false", np.app, np.ngpus));
-        }
-        r.lines.push(DiffLine {
-            app: op.app.clone(),
-            ngpus: op.ngpus,
-            old_wall_s: op.wall_best_s,
-            new_wall_s: np.wall_best_s,
-            ratio,
-            sim_matches,
-            regressed,
-        });
-    }
-    // The comm-experiments section guards the inference/elision wins:
-    // a recorded mode must not vanish, its simulated comm time is
-    // deterministic, an elision count that drops means facts were lost,
-    // and a run that used to match the annotated baseline bit-for-bit
-    // must keep matching.
-    for oc in &old.comm_experiments {
-        let Some(nc) = new
-            .comm_experiments
-            .iter()
-            .find(|c| c.app == oc.app && c.mode == oc.mode)
-        else {
-            r.problems.push(format!(
-                "comm experiment {}/{} present in old but missing from new",
-                oc.app, oc.mode
-            ));
-            continue;
-        };
-        if (nc.comm_sim_s - oc.comm_sim_s).abs()
-            > SIM_REL_EPS * oc.comm_sim_s.abs().max(nc.comm_sim_s.abs())
-        {
-            r.problems.push(format!(
-                "comm experiment {}/{}: simulated comm time moved: {} -> {}",
-                oc.app, oc.mode, oc.comm_sim_s, nc.comm_sim_s
-            ));
-        }
-        if nc.comm_elisions < oc.comm_elisions {
-            r.problems.push(format!(
-                "comm experiment {}/{}: elided syncs dropped {} -> {} (static facts lost)",
-                oc.app, oc.mode, oc.comm_elisions, nc.comm_elisions
-            ));
-        }
-        if oc.matches_annotated && !nc.matches_annotated {
-            r.problems.push(format!(
-                "comm experiment {}/{}: no longer bit-identical to the annotated baseline",
-                oc.app, oc.mode
-            ));
-        }
-    }
-    diff_scaling(old, new, &mut r);
-    diff_serve(old, new, &mut r);
-    r
-}
-
-/// Compare the `scaling` sections. Every recorded point (app × GPUs ×
-/// topology × overlap) must persist, its simulated times are
-/// deterministic and pinned exactly, and `correct` must stay true. A
-/// baseline that predates the section gets a note, like `serve`.
-fn diff_scaling(old: &BenchFile, new: &BenchFile, r: &mut DiffReport) {
-    if old.scaling.is_empty() && !new.scaling.is_empty() {
-        r.notes.push(format!(
-            "scaling section added ({} points: app x GPUs x topology x overlap)",
-            new.scaling.len()
-        ));
-    }
-    for np in &new.scaling {
-        if !np.correct {
-            r.problems.push(format!(
-                "scaling point {} x{} {}{} reports correct=false",
-                np.app,
-                np.ngpus,
-                np.topo,
-                if np.overlap { "+overlap" } else { "" }
-            ));
-        }
-    }
-    for op in &old.scaling {
-        let key = format!(
-            "{} x{} {}{}",
-            op.app,
-            op.ngpus,
-            op.topo,
-            if op.overlap { "+overlap" } else { "" }
-        );
-        let Some(np) = new.scaling.iter().find(|p| {
-            p.app == op.app && p.ngpus == op.ngpus && p.topo == op.topo && p.overlap == op.overlap
-        }) else {
-            r.problems
-                .push(format!("scaling point {key} present in old but missing from new"));
-            continue;
-        };
-        for (name, o, n) in [
-            ("sim_s", op.sim_s, np.sim_s),
-            ("comm_sim_s", op.comm_sim_s, np.comm_sim_s),
-            ("cpu_gpu_s", op.cpu_gpu_s, np.cpu_gpu_s),
-            ("overlap_hidden_s", op.overlap_hidden_s, np.overlap_hidden_s),
-        ] {
-            if (n - o).abs() > SIM_REL_EPS * o.abs().max(n.abs()) {
-                r.problems.push(format!(
-                    "scaling point {key}: simulated `{name}` moved: {o} -> {n}"
-                ));
-            }
-        }
-    }
-}
-
-/// Hit rate below which the serve section fails the diff: repeated
-/// mixed jobs over three programs must be nearly all cache hits.
-const SERVE_MIN_HIT_RATE: f64 = 0.90;
-
-/// Compare the `serve` sections. A baseline that predates the section
-/// gets a note, not a failure — the section being *added* is the
-/// expected one-time event, only its *removal* is a regression.
-fn diff_serve(old: &BenchFile, new: &BenchFile, r: &mut DiffReport) {
-    let (os, ns) = match (&old.serve, &new.serve) {
-        (None, None) => return,
-        (None, Some(ns)) => {
-            r.notes.push(format!(
-                "serve section added ({} tenants, {} jobs, {:.1} jobs/s, hit rate {:.1}%)",
-                ns.tenants,
-                ns.jobs_total,
-                ns.jobs_per_s,
-                ns.cache_hit_rate * 100.0
-            ));
-            // No baseline to compare against, but the absolute guards
-            // below still apply to the new section.
-            (None, ns)
-        }
-        (Some(_), None) => {
-            r.problems
-                .push("serve section present in old but missing from new".to_string());
-            return;
-        }
-        (Some(os), Some(ns)) => (Some(os), ns),
+/// Parse both artifacts and compare them leaf by leaf.
+pub fn bench_diff(old_src: &str, new_src: &str) -> Result<DiffReport, String> {
+    let parse = |src: &str, which: &str| match json::parse(src) {
+        Ok(v @ Value::Obj(_)) => Ok(v),
+        Ok(_) => Err(format!("{which} artifact: top level is not a JSON object")),
+        Err(e) => Err(format!("{which} artifact: {e}")),
     };
-    if !ns.all_correct {
-        r.problems
-            .push("serve section reports all_correct=false".to_string());
-    }
-    if ns.cache_hit_rate <= SERVE_MIN_HIT_RATE {
-        r.problems.push(format!(
-            "serve cache hit rate {:.1}% is not above {:.0}%",
-            ns.cache_hit_rate * 100.0,
-            SERVE_MIN_HIT_RATE * 100.0
-        ));
-    }
-    if let Some(os) = os {
-        if ns.tenants < os.tenants {
-            r.problems.push(format!(
-                "serve tenants dropped {} -> {}",
-                os.tenants, ns.tenants
-            ));
-        }
-        r.notes.push(format!(
-            "serve throughput {:.1} -> {:.1} jobs/s, p50 {:.1} -> {:.1} ms, p99 {:.1} -> {:.1} ms",
-            os.jobs_per_s, ns.jobs_per_s, os.p50_ms, ns.p50_ms, os.p99_ms, ns.p99_ms
-        ));
+    let (old, new) = (parse(old_src, "old")?, parse(new_src, "new")?);
+    let mut r = DiffReport::default();
+    walk("", Some(&old), Some(&new), &mut r);
+    check_correct("", &new, &mut r);
+    Ok(r)
+}
+
+fn child(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
     }
 }
 
-/// End-to-end entry used by `figures -- bench-diff`: parse both
-/// documents and compare. `Err` means malformed input (exit 2 in the
-/// CLI); a returned report with [`DiffReport::failed`] means a
-/// regression (exit 1).
-pub fn bench_diff(old_src: &str, new_src: &str, wall_tolerance: f64) -> Result<DiffReport, String> {
-    let old = parse_bench_file(old_src, "old")?;
-    let new = parse_bench_file(new_src, "new")?;
-    Ok(diff_bench(&old, &new, wall_tolerance))
+fn walk(path: &str, old: Option<&Value>, new: Option<&Value>, r: &mut DiffReport) {
+    match (old, new) {
+        (Some(Value::Obj(a)), Some(Value::Obj(b))) => {
+            for k in a.keys().chain(b.keys().filter(|k| !a.contains_key(*k))) {
+                walk(&child(path, k), a.get(k), b.get(k), r);
+            }
+        }
+        (Some(Value::Arr(a)), Some(Value::Arr(b))) => {
+            for i in 0..a.len().max(b.len()) {
+                walk(&format!("{path}[{i}]"), a.get(i), b.get(i), r);
+            }
+        }
+        (Some(_), None) => r.problems.push(format!("{path}: missing from new")),
+        (None, Some(_)) => r.problems.push(format!("{path}: missing from old")),
+        (Some(a), Some(b)) => {
+            r.leaves += 1;
+            let same = match (a, b) {
+                (Value::Num(x), Value::Num(y)) => {
+                    (x - y).abs() <= NUM_REL_EPS * x.abs().max(y.abs())
+                }
+                _ => a == b,
+            };
+            if !same {
+                r.problems.push(format!(
+                    "{path}: {} -> {}",
+                    a.to_string_compact(),
+                    b.to_string_compact()
+                ));
+            }
+        }
+        (None, None) => {}
+    }
+}
+
+/// Flag every `correct` member of `v` that is not `true`.
+fn check_correct(path: &str, v: &Value, r: &mut DiffReport) {
+    match v {
+        Value::Obj(m) => {
+            for (k, c) in m {
+                let p = child(path, k);
+                if k == "correct" && *c != Value::Bool(true) {
+                    r.problems
+                        .push(format!("{p}: new result is {}", c.to_string_compact()));
+                }
+                check_correct(&p, c, r);
+            }
+        }
+        Value::Arr(items) => {
+            for (i, c) in items.iter().enumerate() {
+                check_correct(&format!("{path}[{i}]"), c, r);
+            }
+        }
+        _ => {}
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn artifact(scale: &str, seed: u64, points: &[(&str, usize, f64, f64, bool)]) -> String {
-        let pts: Vec<Value> = points
-            .iter()
-            .map(|(app, ngpus, wall, sim, correct)| {
-                Value::obj([
-                    ("app", Value::str(*app)),
-                    ("ngpus", Value::num(*ngpus as f64)),
-                    ("wall_best_s", Value::num(*wall)),
-                    ("wall_mean_s", Value::num(*wall * 1.1)),
-                    ("sim_s", Value::num(*sim)),
-                    ("correct", Value::Bool(*correct)),
-                    ("reps", Value::num(3.0)),
-                ])
-            })
-            .collect();
-        Value::obj([
-            ("scale", Value::str(scale)),
-            ("seed", Value::num(seed as f64)),
-            ("points", Value::Arr(pts)),
-        ])
-        .to_string_pretty()
+    const COMMITTED: &str = include_str!("../../../BENCH_runtime.json");
+
+    /// Every leaf of `v` with its report path and its location.
+    fn leaves(v: &Value, path: String, loc: Vec<Step>, out: &mut Vec<(String, Vec<Step>)>) {
+        match v {
+            Value::Obj(m) => {
+                for (k, c) in m {
+                    let mut l = loc.clone();
+                    l.push(Step::Key(k.clone()));
+                    leaves(c, child(&path, k), l, out);
+                }
+            }
+            Value::Arr(items) => {
+                for (i, c) in items.iter().enumerate() {
+                    let mut l = loc.clone();
+                    l.push(Step::Idx(i));
+                    leaves(c, format!("{path}[{i}]"), l, out);
+                }
+            }
+            _ => out.push((path, loc)),
+        }
     }
 
-    const BASE: &[(&str, usize, f64, f64, bool)] = &[
-        ("md", 1, 1.0, 0.5, true),
-        ("md", 2, 0.6, 0.3, true),
-        ("bfs", 3, 0.4, 0.2, true),
-    ];
+    #[derive(Clone)]
+    enum Step {
+        Key(String),
+        Idx(usize),
+    }
+
+    fn at<'a>(v: &'a mut Value, loc: &[Step]) -> &'a mut Value {
+        loc.iter().fold(v, |v, s| match (v, s) {
+            (Value::Obj(m), Step::Key(k)) => m.get_mut(k).unwrap(),
+            (Value::Arr(a), Step::Idx(i)) => &mut a[*i],
+            _ => unreachable!("location from `leaves`"),
+        })
+    }
+
+    fn committed() -> Value {
+        json::parse(COMMITTED).unwrap()
+    }
+
+    /// Diff the committed file against `edit` applied to a copy of it.
+    fn diff_edit(edit: impl FnOnce(&mut Value)) -> DiffReport {
+        let mut doc = committed();
+        edit(&mut doc);
+        bench_diff(COMMITTED, &doc.to_string_pretty()).unwrap()
+    }
 
     #[test]
     fn identical_artifacts_pass() {
-        let doc = artifact("scaled", 42, BASE);
-        let r = bench_diff(&doc, &doc, DEFAULT_WALL_TOLERANCE).unwrap();
+        let r = bench_diff(COMMITTED, COMMITTED).unwrap();
         assert!(!r.failed(), "{:?}", r.problems);
-        assert_eq!(r.lines.len(), 3);
-        assert!(r.render().contains("OK:"));
+        assert!(r.leaves > 300, "only {} leaves compared", r.leaves);
+        assert!(r.render().starts_with("OK: "));
     }
 
     #[test]
-    fn improvement_and_small_jitter_pass() {
-        let old = artifact("scaled", 42, BASE);
-        // md x1 40% faster, md x2 10% slower (inside tolerance).
-        let new = artifact(
-            "scaled",
-            42,
-            &[
-                ("md", 1, 0.6, 0.5, true),
-                ("md", 2, 0.66, 0.3, true),
-                ("bfs", 3, 0.4, 0.2, true),
-            ],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(r.render().contains("faster"));
+    fn every_leaf_of_the_committed_artifact_is_pinned() {
+        let mut all = Vec::new();
+        leaves(&committed(), String::new(), Vec::new(), &mut all);
+        let (mut nums, mut bools) = (0, 0);
+        for (path, loc) in &all {
+            let r = diff_edit(|doc| match at(doc, loc) {
+                Value::Num(n) => {
+                    nums += 1;
+                    *n = if *n == 0.0 { 1.0 } else { *n * (1.0 + 1e-6) };
+                }
+                Value::Bool(b) => {
+                    bools += 1;
+                    *b = !*b;
+                }
+                Value::Str(s) => s.push('~'),
+                other => panic!("unexpected leaf {other:?} at {path}"),
+            });
+            assert!(r.failed(), "{path}: perturbation passed");
+            assert!(
+                r.problems[0].starts_with(&format!("{path}: ")),
+                "{path}: {:?}",
+                r.problems
+            );
+        }
+        assert!(nums > 200 && bools > 50, "{nums} numbers, {bools} booleans");
     }
 
     #[test]
-    fn wall_regression_over_tolerance_fails() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact(
-            "scaled",
-            42,
-            &[
-                ("md", 1, 1.3, 0.5, true), // +30% > 15%
-                ("md", 2, 0.6, 0.3, true),
-                ("bfs", 3, 0.4, 0.2, true),
-            ],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert_eq!(r.problems.len(), 1);
-        assert!(r.problems[0].contains("wall-clock regression for md x1"));
-        assert!(r.render().contains("REGRESSED"));
-    }
-
-    #[test]
-    fn micro_scale_jitter_is_ignored() {
-        // +33% relative but only 0.1 ms absolute: noise, not a regression.
-        let old = artifact("small", 1, &[("md", 1, 0.0003, 0.5, true)]);
-        let new = artifact("small", 1, &[("md", 1, 0.0004, 0.5, true)]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
+    fn dropped_and_added_rows_fail() {
+        for section in ["points", "comm_experiments", "scaling"] {
+            let rows = |doc: &mut Value| match doc {
+                Value::Obj(m) => match m.get_mut(section) {
+                    Some(Value::Arr(a)) => std::mem::take(a),
+                    _ => panic!("no `{section}` array"),
+                },
+                _ => unreachable!(),
+            };
+            let n = rows(&mut committed()).len();
+            let put = |doc: &mut Value, a: Vec<Value>| {
+                *at(doc, &[Step::Key(section.to_string())]) = Value::Arr(a);
+            };
+            let r = diff_edit(|doc| {
+                let mut a = rows(doc);
+                a.remove(0);
+                put(doc, a);
+            });
+            let last = format!("{section}[{}]: missing from new", n - 1);
+            assert!(r.problems.contains(&last), "{:?}", r.problems);
+            let r = diff_edit(|doc| {
+                let mut a = rows(doc);
+                a.push(a[0].clone());
+                put(doc, a);
+            });
+            assert_eq!(r.problems, [format!("{section}[{n}]: missing from old")]);
+        }
     }
 
     #[test]
     fn sim_time_drift_fails_even_when_faster() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact(
-            "scaled",
-            42,
-            &[
-                ("md", 1, 0.5, 0.500001, true), // faster, but sim moved
-                ("md", 2, 0.6, 0.3, true),
-                ("bfs", 3, 0.4, 0.2, true),
-            ],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems[0].contains("simulated time moved for md x1"));
-        assert!(r.render().contains("SIM MISMATCH"));
-    }
-
-    #[test]
-    fn missing_point_and_wrong_result_fail() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact(
-            "scaled",
-            42,
-            &[("md", 1, 1.0, 0.5, true), ("md", 2, 0.6, 0.3, false)],
-        );
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems.iter().any(|p| p.contains("bfs x3") && p.contains("missing")));
-        assert!(r.problems.iter().any(|p| p.contains("correct=false")));
-    }
-
-    #[test]
-    fn scale_and_seed_mismatch_fail() {
-        let old = artifact("scaled", 42, BASE);
-        let new = artifact("small", 7, BASE);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems.iter().any(|p| p.contains("scale mismatch")));
-        assert!(r.problems.iter().any(|p| p.contains("seed mismatch")));
-    }
-
-    #[test]
-    fn zero_wall_baseline_is_an_unusable_baseline() {
-        // A baseline recorded as 0.0s (e.g. a truncated artifact) must
-        // not silently pass as ratio 1.0.
-        let old = artifact("scaled", 42, &[("md", 1, 0.0, 0.5, true)]);
-        let new = artifact("scaled", 42, &[("md", 1, 1.0, 0.5, true)]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
+        let r = diff_edit(|doc| {
+            let Value::Num(t) = at(
+                doc,
+                &[
+                    Step::Key("points".into()),
+                    Step::Idx(4),
+                    Step::Key("sim_s".into()),
+                ],
+            ) else {
+                panic!("sim_s is a number")
+            };
+            *t *= 0.5;
+        });
+        assert_eq!(r.problems.len(), 1);
         assert!(
-            r.problems.iter().any(|p| p.contains("unusable baseline for md x1")),
+            r.problems[0].starts_with("points[4].sim_s: "),
             "{:?}",
             r.problems
         );
     }
 
-    fn artifact_with_serve(hit_rate: f64, correct: bool, tenants: f64) -> String {
-        Value::obj([
-            ("scale", Value::str("small")),
-            ("seed", Value::num(42.0)),
-            ("points", Value::Arr(vec![])),
-            (
-                "serve",
-                Value::obj([
-                    ("tenants", Value::num(tenants)),
-                    ("jobs_per_tenant", Value::num(6.0)),
-                    ("jobs_total", Value::num(tenants * 6.0)),
-                    ("jobs_ok", Value::num(tenants * 6.0)),
-                    ("jobs_per_s", Value::num(120.0)),
-                    ("p50_ms", Value::num(8.0)),
-                    ("p99_ms", Value::num(30.0)),
-                    ("cache_hit_rate", Value::num(hit_rate)),
-                    ("all_correct", Value::Bool(correct)),
-                ]),
-            ),
-        ])
-        .to_string_pretty()
+    #[test]
+    fn micro_scale_jitter_is_ignored() {
+        // Below the round-trip slack: a writer re-rounding the last digit.
+        let r = diff_edit(|doc| {
+            let Value::Num(t) = at(
+                doc,
+                &[
+                    Step::Key("points".into()),
+                    Step::Idx(4),
+                    Step::Key("sim_s".into()),
+                ],
+            ) else {
+                panic!("sim_s is a number")
+            };
+            *t *= 1.0 + 1e-12;
+        });
+        assert!(!r.failed(), "{:?}", r.problems);
     }
 
     #[test]
-    fn serve_section_added_is_a_note_not_a_failure() {
-        // The committed baseline predates the daemon: a new artifact
-        // carrying the section must pass with a note, not fail on a
-        // "missing section" mismatch.
-        let old = artifact("small", 42, &[("md", 1, 1.0, 0.5, true)]);
-        let mut new_doc = artifact_with_serve(0.95, true, 8.0);
-        // Give the new artifact the same points as the old one.
-        new_doc = new_doc.replace("\"points\": []", &format!(
-            "\"points\": {}",
-            Value::Arr(vec![Value::obj([
-                ("app", Value::str("md")),
-                ("ngpus", Value::num(1.0)),
-                ("wall_best_s", Value::num(1.0)),
-                ("wall_mean_s", Value::num(1.1)),
-                ("sim_s", Value::num(0.5)),
-                ("correct", Value::Bool(true)),
-            ])])
-            .to_string_compact()
-        ));
-        let r = bench_diff(&old, &new_doc, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(
-            r.notes.iter().any(|n| n.contains("serve section added")),
-            "{:?}",
-            r.notes
+    fn missing_point_and_wrong_result_fail() {
+        let old = r#"{"points": [{"app": "md", "correct": false, "sim_s": 1}]}"#;
+        let new = r#"{"points": [{"app": "md", "correct": false}]}"#;
+        let r = bench_diff(old, new).unwrap();
+        assert_eq!(
+            r.problems,
+            [
+                "points[0].sim_s: missing from new",
+                "points[0].correct: new result is false",
+            ]
         );
-        assert!(r.render().contains("NOTE: serve section added"));
+        // A wrong result in the old file alone is the old file's problem.
+        let r = bench_diff(old, &old.replace("false", "true")).unwrap();
+        assert_eq!(r.problems, ["points[0].correct: false -> true"]);
     }
 
     #[test]
-    fn serve_section_removal_fails() {
-        let old = artifact_with_serve(0.95, true, 8.0);
-        let new = artifact("small", 42, &[]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        assert!(r.problems.iter().any(|p| p.contains("missing from new")));
-    }
-
-    #[test]
-    fn serve_guards_hit_rate_correctness_and_tenants() {
-        let old = artifact_with_serve(0.95, true, 8.0);
-        let bad_rate = artifact_with_serve(0.85, true, 8.0);
-        let r = bench_diff(&old, &bad_rate, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.problems.iter().any(|p| p.contains("hit rate")), "{:?}", r.problems);
-
-        let bad_correct = artifact_with_serve(0.95, false, 8.0);
-        let r = bench_diff(&old, &bad_correct, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.problems.iter().any(|p| p.contains("all_correct=false")));
-
-        let fewer_tenants = artifact_with_serve(0.95, true, 4.0);
-        let r = bench_diff(&old, &fewer_tenants, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.problems.iter().any(|p| p.contains("tenants dropped")));
-
-        // Hit-rate guard also applies when the old baseline lacks the
-        // section entirely.
-        let no_serve = artifact("small", 42, &[]);
-        let r = bench_diff(&no_serve, &bad_rate, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-
-        let ok = artifact_with_serve(0.97, true, 8.0);
-        let r = bench_diff(&old, &ok, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(r.notes.iter().any(|n| n.contains("serve throughput")));
-    }
-
-    fn artifact_with_scaling(points: &[(&str, usize, &str, bool, f64, bool)]) -> String {
-        Value::obj([
-            ("scale", Value::str("small")),
-            ("seed", Value::num(42.0)),
-            ("points", Value::Arr(vec![])),
-            (
-                "scaling",
-                Value::Arr(
-                    points
-                        .iter()
-                        .map(|(app, ngpus, topo, overlap, sim, correct)| {
-                            Value::obj([
-                                ("app", Value::str(*app)),
-                                ("ngpus", Value::num(*ngpus as f64)),
-                                ("topo", Value::str(*topo)),
-                                ("overlap", Value::Bool(*overlap)),
-                                ("sim_s", Value::num(*sim)),
-                                ("comm_sim_s", Value::num(*sim / 4.0)),
-                                ("cpu_gpu_s", Value::num(*sim / 2.0)),
-                                ("overlap_hidden_s", Value::num(0.001)),
-                                ("p2p_mb", Value::num(1.5)),
-                                ("correct", Value::Bool(*correct)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string_pretty()
-    }
-
-    const SCALING_BASE: &[(&str, usize, &str, bool, f64, bool)] = &[
-        ("heat2d", 16, "flat", false, 0.4, true),
-        ("heat2d", 16, "cluster", false, 0.3, true),
-        ("heat2d", 16, "cluster", true, 0.25, true),
-    ];
-
-    #[test]
-    fn scaling_section_added_is_a_note_and_identical_sections_pass() {
-        let old = artifact("small", 42, &[]);
-        let new = artifact_with_scaling(SCALING_BASE);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(
-            r.notes.iter().any(|n| n.contains("scaling section added")),
-            "{:?}",
-            r.notes
+    fn scale_and_seed_mismatch_fail() {
+        let r = diff_edit(|doc| {
+            *at(doc, &[Step::Key("scale".into())]) = Value::str("paper");
+            *at(doc, &[Step::Key("seed".into())]) = Value::num(7.0);
+        });
+        assert_eq!(
+            r.problems,
+            [r#"scale: "small" -> "paper""#, "seed: 42 -> 7"]
         );
-        let r = bench_diff(&new, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-        assert!(r.notes.is_empty(), "{:?}", r.notes);
+    }
+
+    #[test]
+    fn comm_experiment_regressions_fail() {
+        // Exact in both directions: more elisions or fewer bytes is still
+        // a change the baseline has to record.
+        let r = diff_edit(|doc| {
+            for (key, v) in [("comm_elisions", 99.0), ("p2p_bytes", 1.0)] {
+                let row = [
+                    Step::Key("comm_experiments".into()),
+                    Step::Idx(1),
+                    Step::Key(key.into()),
+                ];
+                *at(doc, &row) = Value::num(v);
+            }
+        });
+        assert_eq!(r.problems.len(), 2, "{:?}", r.problems);
+        assert!(r.problems[0].starts_with("comm_experiments[1].comm_elisions: "));
+        assert!(r.problems[1].starts_with("comm_experiments[1].p2p_bytes: "));
     }
 
     #[test]
     fn scaling_sim_drift_missing_point_and_wrong_result_fail() {
-        let old = artifact_with_scaling(SCALING_BASE);
-        // Cluster point's sim time drifts, overlap point vanishes.
-        let new = artifact_with_scaling(&[
-            ("heat2d", 16, "flat", false, 0.4, true),
-            ("heat2d", 16, "cluster", false, 0.31, true),
-        ]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
+        let r = diff_edit(|doc| {
+            let row = |k: &str| {
+                [
+                    Step::Key("scaling".into()),
+                    Step::Idx(7),
+                    Step::Key(k.into()),
+                ]
+            };
+            *at(doc, &row("sim_s")) = Value::num(1.0);
+            *at(doc, &row("correct")) = Value::Bool(false);
+            let Value::Obj(m) = at(doc, &[Step::Key("scaling".into()), Step::Idx(8)]) else {
+                panic!("scaling rows are objects")
+            };
+            m.remove("p2p_mb");
+        });
         let all = r.problems.join("\n");
-        assert!(all.contains("scaling point heat2d x16 cluster: simulated `sim_s` moved"), "{all}");
-        assert!(all.contains("heat2d x16 cluster+overlap present in old but missing"), "{all}");
-
-        // A wrong result fails even without a baseline for the point.
-        let bad = artifact_with_scaling(&[("pagerank", 64, "cluster", true, 0.2, false)]);
-        let r = bench_diff(&old, &bad, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r
-            .problems
-            .iter()
-            .any(|p| p.contains("pagerank x64 cluster+overlap reports correct=false")));
+        assert!(all.contains("scaling[7].sim_s: "), "{all}");
+        assert!(all.contains("scaling[7].correct: true -> false"), "{all}");
+        assert!(
+            all.contains("scaling[7].correct: new result is false"),
+            "{all}"
+        );
+        assert!(all.contains("scaling[8].p2p_mb: missing from new"), "{all}");
     }
 
     #[test]
     fn malformed_input_is_an_error_not_a_report() {
-        assert!(bench_diff("{", "{}", DEFAULT_WALL_TOLERANCE).is_err());
-        assert!(bench_diff("{\"scale\": \"s\"}", "{}", DEFAULT_WALL_TOLERANCE)
+        assert!(bench_diff("{", "{}").unwrap_err().contains("old artifact"));
+        assert!(bench_diff("{}", "[]")
             .unwrap_err()
-            .contains("missing field `seed`"));
+            .contains("not a JSON object"));
     }
 
     #[test]
     fn real_bench_runtime_artifact_round_trips() {
-        // The writer in `figures` serialises `bench_runtime` points with
-        // exactly these fields; keep the parser in sync with it.
+        // The writer and the committed baseline must agree on the schema:
+        // a field added to `bench_json` without regenerating the baseline
+        // fails here as a missing-from-old path, not first in CI.
         let points = [crate::RuntimePoint {
             app: "md".to_string(),
             ngpus: 2,
-            wall_best_s: 0.25,
-            wall_mean_s: 0.3,
             sim_s: 0.125,
             comm_sim_s: 0.0625,
-            comm_wall_s: 0.001,
             correct: true,
-            reps: 3,
         }];
         let comm = [crate::CommPoint {
             app: "heat2d".to_string(),
             mode: "inferred".to_string(),
             ngpus: 3,
             comm_sim_s: 0.01,
-            comm_wall_s: 0.002,
             p2p_bytes: 1024,
             comm_elisions: 0,
             matches_annotated: true,
         }];
-        let doc = Value::obj([
-            ("scale", Value::str("scaled")),
-            ("seed", Value::num(42.0)),
-            (
-                "points",
-                Value::Arr(
-                    points
-                        .iter()
-                        .map(|p| {
-                            Value::obj([
-                                ("app", Value::str(&p.app)),
-                                ("ngpus", Value::num(p.ngpus as f64)),
-                                ("wall_best_s", Value::num(p.wall_best_s)),
-                                ("wall_mean_s", Value::num(p.wall_mean_s)),
-                                ("sim_s", Value::num(p.sim_s)),
-                                ("comm_sim_s", Value::num(p.comm_sim_s)),
-                                ("comm_wall_s", Value::num(p.comm_wall_s)),
-                                ("correct", Value::Bool(p.correct)),
-                                ("reps", Value::num(p.reps as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "comm_experiments",
-                Value::Arr(
-                    comm.iter()
-                        .map(|c| {
-                            Value::obj([
-                                ("app", Value::str(&c.app)),
-                                ("mode", Value::str(&c.mode)),
-                                ("ngpus", Value::num(c.ngpus as f64)),
-                                ("comm_sim_s", Value::num(c.comm_sim_s)),
-                                ("comm_wall_s", Value::num(c.comm_wall_s)),
-                                ("p2p_bytes", Value::num(c.p2p_bytes as f64)),
-                                ("comm_elisions", Value::num(c.comm_elisions as f64)),
-                                ("matches_annotated", Value::Bool(c.matches_annotated)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string_pretty();
-        let parsed = parse_bench_file(&doc, "artifact").unwrap();
-        assert_eq!(parsed.scale, "scaled");
-        assert_eq!(parsed.seed, 42);
-        assert_eq!(parsed.points.len(), 1);
-        assert_eq!(parsed.points[0].app, "md");
-        assert_eq!(parsed.points[0].sim_s, 0.125);
-        assert_eq!(parsed.points[0].comm_sim_s, Some(0.0625));
-        assert_eq!(parsed.comm_experiments.len(), 1);
-        assert_eq!(parsed.comm_experiments[0].mode, "inferred");
-        assert!(parsed.comm_experiments[0].matches_annotated);
-        // Identical artifacts with the comm section still diff clean.
-        let r = bench_diff(&doc, &doc, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(!r.failed(), "{:?}", r.problems);
-    }
-
-    #[test]
-    fn comm_experiment_regressions_fail() {
-        let mk = |comm_sim: f64, elisions: f64, matches: bool, modes: &[&str]| {
-            Value::obj([
-                ("scale", Value::str("scaled")),
-                ("seed", Value::num(42.0)),
-                ("points", Value::Arr(vec![])),
-                (
-                    "comm_experiments",
-                    Value::Arr(
-                        modes
-                            .iter()
-                            .map(|m| {
-                                Value::obj([
-                                    ("app", Value::str("spmv")),
-                                    ("mode", Value::str(*m)),
-                                    ("ngpus", Value::num(3.0)),
-                                    ("comm_sim_s", Value::num(comm_sim)),
-                                    ("comm_wall_s", Value::num(0.001)),
-                                    ("p2p_bytes", Value::num(4096.0)),
-                                    ("comm_elisions", Value::num(elisions)),
-                                    ("matches_annotated", Value::Bool(matches)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-            .to_string_pretty()
+        let scaling = [crate::ScalingPoint {
+            app: "heat2d".to_string(),
+            ngpus: 8,
+            topo: "cluster".to_string(),
+            overlap: true,
+            sim_s: 0.5,
+            comm_sim_s: 0.25,
+            cpu_gpu_s: 0.125,
+            overlap_hidden_s: 0.0625,
+            p2p_mb: 1.5,
+            correct: true,
+        }];
+        let written = crate::bench_json(acc_apps::Scale::Small, 42, &points, &comm, &scaling);
+        let keys = |v: &Value| -> Vec<String> {
+            let mut all = Vec::new();
+            leaves(v, String::new(), Vec::new(), &mut all);
+            let mut k: Vec<String> = all
+                .into_iter()
+                .map(|(p, _)| {
+                    p.split_once("].").map_or(p.clone(), |(s, f)| {
+                        format!("{}.{f}", &s[..s.find('[').unwrap()])
+                    })
+                })
+                .collect();
+            k.sort();
+            k.dedup();
+            k
         };
-        let old = mk(0.5, 10.0, true, &["stripped", "stripped-elide"]);
-        // Sim drift + lost elisions + lost bit-identity, and one mode gone.
-        let new = mk(0.6, 4.0, false, &["stripped"]);
-        let r = bench_diff(&old, &new, DEFAULT_WALL_TOLERANCE).unwrap();
-        assert!(r.failed());
-        let all = r.problems.join("\n");
-        assert!(all.contains("simulated comm time moved"), "{all}");
-        assert!(all.contains("elided syncs dropped"), "{all}");
-        assert!(all.contains("no longer bit-identical"), "{all}");
-        assert!(all.contains("missing from new"), "{all}");
+        assert_eq!(keys(&written), keys(&committed()));
+        let doc = written.to_string_pretty();
+        let r = bench_diff(&doc, &doc).unwrap();
+        assert!(!r.failed(), "{:?}", r.problems);
+        assert_eq!(r.leaves, 2 + 5 + 7 + 10);
     }
 }

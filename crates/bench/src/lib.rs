@@ -26,9 +26,10 @@ pub mod diff;
 use acc_apps::{run_app, App, Scale, Version};
 use acc_compiler::CompileOptions;
 use acc_gpusim::{Machine, MachineKind};
+use acc_obs::json::Value;
 use acc_runtime::{run_program, ExecConfig, Schedule};
 
-pub use diff::{bench_diff, BenchFile, DiffReport, DEFAULT_WALL_TOLERANCE};
+pub use diff::{bench_diff, DiffReport};
 
 /// Compile-checks (and runs) the code examples embedded in the README.
 #[doc = include_str!("../../../README.md")]
@@ -667,85 +668,49 @@ pub fn extension_stencil(scale: Scale, seed: u64) -> Vec<StencilPoint> {
                 gpu_gpu_time: r.profile.time.gpu_gpu,
                 p2p_mb: r.trace.counters().p2p_bytes as f64 / 1e6,
                 miss_checks: r.profile.kernel_counters.miss_checks,
-                correct: err < 1e-9,
+                correct: err < heat2d::TOLERANCE,
             });
         }
     }
     out
 }
 
-/// One wall-clock measurement for the `bench` target: how long the
-/// simulator itself takes to run an app on N GPUs, as opposed to the
-/// simulated time it reports. This is the number the runtime's host-side
-/// optimisations (interpreter fast path, parallel communication phase)
-/// move, and the one `BENCH_runtime.json` tracks across commits.
+/// One point of the `bench` target's `points` section: an app on N GPUs
+/// of the supercomputer node. Every field is simulated, so one run per
+/// point pins it (host wall clock is perfbench's job, not this one).
 #[derive(Debug, Clone)]
 pub struct RuntimePoint {
     pub app: String,
     pub ngpus: usize,
-    /// Best wall-clock over `reps` runs, seconds. Minimum, not mean: the
-    /// minimum of repeated identical runs is the least noisy estimator
-    /// of intrinsic cost on a shared machine.
-    pub wall_best_s: f64,
-    /// Mean wall-clock over `reps` runs, seconds.
-    pub wall_mean_s: f64,
-    /// Simulated parallel-region time, seconds. Must not change when
-    /// host-side optimisations do (the equivalence tests enforce this;
-    /// the field is recorded so a regression is visible in the artifact).
+    /// Simulated parallel-region time, seconds.
     pub sim_s: f64,
     /// Simulated GPU-GPU communication-phase time, seconds (a component
     /// of `sim_s`). Recorded separately so comm-phase optimisations —
     /// elision, inferred distribution — are visible per point.
     pub comm_sim_s: f64,
-    /// Host wall-clock seconds spent inside the communication phase on
-    /// the *best-wall* rep. Tracks what the parallel comm phase and the
-    /// staging pool actually cost on the host.
-    pub comm_wall_s: f64,
     pub correct: bool,
-    pub reps: usize,
 }
 
-/// Measure end-to-end wall-clock for every app × GPU count on the
-/// supercomputer node. Each configuration runs `reps` times. The
+/// Run every app × GPU count (1–3) on the supercomputer node once. The
 /// `heat2d-halo2` points double as the wavefront rows: the runner
 /// executes that app under `Schedule::Wavefront`, so its multi-GPU
 /// `sim_s`/`comm_sim_s` values pin the pipelined schedule's pricing.
-pub fn bench_runtime(scale: Scale, seed: u64, reps: usize, progress: bool) -> Vec<RuntimePoint> {
-    let reps = reps.max(1);
+pub fn bench_runtime(scale: Scale, seed: u64, progress: bool) -> Vec<RuntimePoint> {
     let mut out = Vec::new();
     for &app in &App::ALL {
         for ngpus in 1..=3 {
-            let v = Version::Proposal(ngpus);
             if progress {
-                eprintln!("  bench: {} x{} ({} reps)", app.name(), ngpus, reps);
+                eprintln!("  bench: {} x{}", app.name(), ngpus);
             }
-            let mut walls = Vec::with_capacity(reps);
-            let mut sim_s = 0.0;
-            let mut comm_sim_s = 0.0;
-            let mut comm_wall_s = f64::INFINITY;
-            let mut correct = true;
-            for _ in 0..reps {
-                let mut m = Machine::supercomputer_node();
-                let t0 = std::time::Instant::now();
-                let r = acc_apps::run_app(app, v, &mut m, scale, seed).expect("app run");
-                walls.push(t0.elapsed().as_secs_f64());
-                sim_s = r.profile.time.parallel_region();
-                comm_sim_s = r.profile.time.gpu_gpu;
-                comm_wall_s = comm_wall_s.min(r.profile.comm_wall_s);
-                correct &= r.correct;
-            }
-            let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mean = walls.iter().sum::<f64>() / walls.len() as f64;
+            let mut m = Machine::supercomputer_node();
+            let r = acc_apps::run_app(app, Version::Proposal(ngpus), &mut m, scale, seed)
+                .expect("app run");
             out.push(RuntimePoint {
                 app: app.name().to_string(),
                 ngpus,
-                wall_best_s: best,
-                wall_mean_s: mean,
-                sim_s,
-                comm_sim_s,
-                comm_wall_s,
-                correct,
-                reps,
+                sim_s: r.profile.time.parallel_region(),
+                comm_sim_s: r.profile.time.gpu_gpu,
+                correct: r.correct,
             });
         }
     }
@@ -755,57 +720,32 @@ pub fn bench_runtime(scale: Scale, seed: u64, reps: usize, progress: bool) -> Ve
     // reproduces the paper's Table II); these rows exist so the
     // artifact records the mapper's simulated-time margin, and CI's
     // bench-diff notices if the win erodes.
+    let cfg = bfs_skew_config(scale);
+    let input = acc_apps::bfs_skew::generate(&cfg, seed);
+    let expect = acc_apps::bfs_skew::reference(&input);
+    let prog = acc_compiler::compile_source(
+        acc_apps::bfs_skew::SOURCE,
+        acc_apps::bfs_skew::FUNCTION,
+        &CompileOptions::proposal(),
+    )
+    .expect("bfs_skew compiles");
     for (label, sched) in [
         ("bfs-skew", Schedule::Equal),
         ("bfs-skew-cm", Schedule::CostModel),
     ] {
         if progress {
-            eprintln!("  bench: {label} x3 ({reps} reps)");
+            eprintln!("  bench: {label} x3");
         }
-        let cfg = bfs_skew_config(scale);
-        let input = acc_apps::bfs_skew::generate(&cfg, seed);
-        let expect = acc_apps::bfs_skew::reference(&input);
-        let prog = acc_compiler::compile_source(
-            acc_apps::bfs_skew::SOURCE,
-            acc_apps::bfs_skew::FUNCTION,
-            &acc_compiler::CompileOptions::proposal(),
-        )
-        .expect("bfs_skew compiles");
-        let mut walls = Vec::with_capacity(reps);
-        let mut sim_s = 0.0;
-        let mut comm_sim_s = 0.0;
-        let mut comm_wall_s = f64::INFINITY;
-        let mut correct = true;
-        for _ in 0..reps {
-            let mut m = Machine::supercomputer_node();
-            let (scalars, arrays) = acc_apps::bfs_skew::inputs(&input);
-            let t0 = std::time::Instant::now();
-            let r = acc_runtime::run_program(
-                &mut m,
-                &acc_runtime::ExecConfig::gpus(3).schedule(sched),
-                &prog,
-                scalars,
-                arrays,
-            )
-            .expect("bfs_skew run");
-            walls.push(t0.elapsed().as_secs_f64());
-            sim_s = r.profile.time.parallel_region();
-            comm_sim_s = r.profile.time.gpu_gpu;
-            comm_wall_s = comm_wall_s.min(r.profile.comm_wall_s);
-            correct &= r.arrays[acc_apps::bfs_skew::LEVELS_ARRAY].to_i32_vec() == expect;
-        }
-        let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mean = walls.iter().sum::<f64>() / walls.len() as f64;
+        let mut m = Machine::supercomputer_node();
+        let (scalars, arrays) = acc_apps::bfs_skew::inputs(&input);
+        let cfg = ExecConfig::gpus(3).schedule(sched);
+        let r = run_program(&mut m, &cfg, &prog, scalars, arrays).expect("bfs_skew run");
         out.push(RuntimePoint {
             app: label.to_string(),
             ngpus: 3,
-            wall_best_s: best,
-            wall_mean_s: mean,
-            sim_s,
-            comm_sim_s,
-            comm_wall_s,
-            correct,
-            reps,
+            sim_s: r.profile.time.parallel_region(),
+            comm_sim_s: r.profile.time.gpu_gpu,
+            correct: r.arrays[acc_apps::bfs_skew::LEVELS_ARRAY].to_i32_vec() == expect,
         });
     }
     out
@@ -870,8 +810,6 @@ pub struct CommPoint {
     pub ngpus: usize,
     /// Simulated GPU-GPU communication-phase seconds.
     pub comm_sim_s: f64,
-    /// Host wall-clock seconds inside the communication phase.
-    pub comm_wall_s: f64,
     pub p2p_bytes: u64,
     /// Replica syncs the runtime skipped on static facts.
     pub comm_elisions: u64,
@@ -934,7 +872,6 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
                 mode: mode.to_string(),
                 ngpus,
                 comm_sim_s: r.profile.time.gpu_gpu,
-                comm_wall_s: r.profile.comm_wall_s,
                 p2p_bytes: r.trace.counters().p2p_bytes,
                 comm_elisions: r.trace.counters().comm_elisions,
                 matches_annotated,
@@ -946,9 +883,8 @@ pub fn bench_comm(scale: Scale, seed: u64, progress: bool) -> Vec<CommPoint> {
 
 /// One simulated-time measurement of the `bench` target's `scaling`
 /// section: a halo/reduction-heavy app at a GPU count well past one
-/// PCIe bus, on one interconnect model. Unlike [`RuntimePoint`] the
-/// interesting numbers here are *simulated* seconds: the section is the
-/// artifact behind the claim that the hierarchical topology (island
+/// PCIe bus, on one interconnect model. The section is the artifact
+/// behind the claim that the hierarchical topology (island
 /// links + per-node roots + inter-node fabric), the topology-aware
 /// reduction tree and the double-buffered halo overlap reduce
 /// communication cost at 8/16/64 GPUs — `bench-diff` pins every value.
@@ -1051,15 +987,15 @@ pub fn bench_scaling(scale: Scale, seed: u64, progress: bool) -> Vec<ScalingPoin
                 };
                 let r = run_program(&mut m, &cfg, prog, scalars, arrays)
                     .expect("scaling bench run");
-                // The hierarchical reduction tree reassociates the
-                // pagerank merges, so its oracle gets the usual
-                // floating-point slack; heat2d's halo copies are exact.
+                // Same oracle bounds as `acc_apps::run_app`: heat2d's halo
+                // copies are exact; the hierarchical reduction tree
+                // reassociates the pagerank merges, which rounding bounds.
                 let correct = if app == "heat2d" {
                     heat2d::max_error(&r.arrays[heat2d::PLATE_ARRAY].to_f64_vec(), &heat_ref)
-                        < 1e-9
+                        < heat2d::TOLERANCE
                 } else {
                     pagerank::max_error(&r.arrays[pagerank::RANK_ARRAY].to_f64_vec(), &pr_ref)
-                        < 1e-6
+                        < pagerank::TOLERANCE
                 };
                 out.push(ScalingPoint {
                     app: app.to_string(),
@@ -1079,115 +1015,66 @@ pub fn bench_scaling(scale: Scale, seed: u64, progress: bool) -> Vec<ScalingPoin
     out
 }
 
-/// One throughput measurement of the `bench` target's `serve` section:
-/// `tenants` concurrent clients each pushing `jobs_per_tenant` mixed
-/// jobs through one in-process [`acc_serve::Server`].
-#[derive(Debug, Clone)]
-pub struct ServePoint {
-    pub tenants: usize,
-    pub jobs_per_tenant: usize,
-    /// Jobs submitted (`tenants * jobs_per_tenant`).
-    pub jobs_total: usize,
-    /// Jobs that completed with a summary.
-    pub jobs_ok: usize,
-    /// Every completed job passed its oracle.
-    pub all_correct: bool,
-    /// End-to-end wall-clock for the whole fleet, seconds.
-    pub wall_s: f64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_s: f64,
-    /// Median per-job latency (submit → summary), milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-job latency, milliseconds.
-    pub p99_ms: f64,
-    /// Fraction of jobs whose compile was a request-cache hit.
-    pub cache_hit_rate: f64,
+/// The `--scale` spelling of a scale, as recorded in artifacts.
+pub fn scale_name(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Small => "small",
+        Scale::Scaled => "scaled",
+        Scale::Paper => "paper",
+    }
 }
 
-/// Measure daemon throughput in-process (no socket: the numbers track
-/// queueing + engine cost, not loopback TCP). Tenants cycle through the
-/// cheap communication-diverse apps (HEAT2D, BFS, MD) at `Scale::Small`
-/// and GPU counts 1–3, so a fleet of `tenants * jobs_per_tenant` jobs
-/// needs exactly three compiles — every later job must be a cache hit.
-pub fn bench_serve(tenants: usize, jobs_per_tenant: usize, progress: bool) -> ServePoint {
-    use acc_serve::{JobRequest, Server, ServerConfig};
-
-    let apps = [App::Heat2d, App::Bfs, App::Md];
-    let jobs_total = tenants * jobs_per_tenant;
-    if progress {
-        eprintln!("  bench: serve {tenants} tenants x {jobs_per_tenant} jobs");
-    }
-    let server = Server::new(ServerConfig {
-        workers: tenants,
-        queue_cap: jobs_total.max(1),
-        default_timeout_ms: 600_000,
-        ..ServerConfig::default()
+/// The `BENCH_runtime.json` document: the [`bench_runtime`],
+/// [`bench_comm`] and [`bench_scaling`] results at one scale and seed.
+/// Every value is simulated, so [`bench_diff`] compares it exactly.
+pub fn bench_json(
+    scale: Scale,
+    seed: u64,
+    points: &[RuntimePoint],
+    comm: &[CommPoint],
+    scaling: &[ScalingPoint],
+) -> Value {
+    let points = points.iter().map(|p| {
+        Value::obj([
+            ("app", Value::str(&p.app)),
+            ("ngpus", Value::num(p.ngpus as f64)),
+            ("sim_s", Value::num(p.sim_s)),
+            ("comm_sim_s", Value::num(p.comm_sim_s)),
+            ("correct", Value::Bool(p.correct)),
+        ])
     });
-    let workers = server.spawn_workers(tenants);
-    let t0 = std::time::Instant::now();
-    let tenant_threads: Vec<_> = (0..tenants)
-        .map(|t| {
-            let srv = std::sync::Arc::clone(&server);
-            std::thread::spawn(move || {
-                let mut lat_ms = Vec::with_capacity(jobs_per_tenant);
-                let mut hits = 0usize;
-                let mut ok = 0usize;
-                let mut correct = true;
-                for i in 0..jobs_per_tenant {
-                    let mut req = JobRequest::new(apps[(t + i) % apps.len()], 1 + (t + i) % 3);
-                    req.seed = 42;
-                    let j0 = std::time::Instant::now();
-                    match srv.run_sync(req) {
-                        Ok(summary) => {
-                            lat_ms.push(j0.elapsed().as_secs_f64() * 1e3);
-                            ok += 1;
-                            hits += summary.cache_hit as usize;
-                            correct &= summary.correct;
-                        }
-                        Err(_) => correct = false,
-                    }
-                }
-                (lat_ms, hits, ok, correct)
-            })
-        })
-        .collect();
-    let mut lat_ms = Vec::with_capacity(jobs_total);
-    let mut hits = 0usize;
-    let mut jobs_ok = 0usize;
-    let mut all_correct = true;
-    for t in tenant_threads {
-        let (l, h, o, c) = t.join().expect("tenant thread");
-        lat_ms.extend(l);
-        hits += h;
-        jobs_ok += o;
-        all_correct &= c;
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    server.shutdown();
-    for w in workers {
-        let _ = w.join();
-    }
-    lat_ms.sort_by(|a, b| a.total_cmp(b));
-    // Nearest-rank percentile on the completed-job latencies.
-    let pct = |q: f64| -> f64 {
-        if lat_ms.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * lat_ms.len() as f64).ceil() as usize).clamp(1, lat_ms.len());
-        lat_ms[rank - 1]
-    };
-    ServePoint {
-        tenants,
-        jobs_per_tenant,
-        jobs_total,
-        jobs_ok,
-        all_correct,
-        wall_s,
-        jobs_per_s: if wall_s > 0.0 { jobs_ok as f64 / wall_s } else { 0.0 },
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
-        cache_hit_rate: if jobs_ok > 0 { hits as f64 / jobs_ok as f64 } else { 0.0 },
-    }
+    let comm = comm.iter().map(|c| {
+        Value::obj([
+            ("app", Value::str(&c.app)),
+            ("mode", Value::str(&c.mode)),
+            ("ngpus", Value::num(c.ngpus as f64)),
+            ("comm_sim_s", Value::num(c.comm_sim_s)),
+            ("p2p_bytes", Value::num(c.p2p_bytes as f64)),
+            ("comm_elisions", Value::num(c.comm_elisions as f64)),
+            ("matches_annotated", Value::Bool(c.matches_annotated)),
+        ])
+    });
+    let scaling = scaling.iter().map(|s| {
+        Value::obj([
+            ("app", Value::str(&s.app)),
+            ("ngpus", Value::num(s.ngpus as f64)),
+            ("topo", Value::str(&s.topo)),
+            ("overlap", Value::Bool(s.overlap)),
+            ("sim_s", Value::num(s.sim_s)),
+            ("comm_sim_s", Value::num(s.comm_sim_s)),
+            ("cpu_gpu_s", Value::num(s.cpu_gpu_s)),
+            ("overlap_hidden_s", Value::num(s.overlap_hidden_s)),
+            ("p2p_mb", Value::num(s.p2p_mb)),
+            ("correct", Value::Bool(s.correct)),
+        ])
+    });
+    Value::obj([
+        ("scale", Value::str(scale_name(scale))),
+        ("seed", Value::num(seed as f64)),
+        ("points", Value::Arr(points.collect())),
+        ("comm_experiments", Value::Arr(comm.collect())),
+        ("scaling", Value::Arr(scaling.collect())),
+    ])
 }
 
 #[cfg(test)]

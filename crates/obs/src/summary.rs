@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{Event, PhaseKind, Trace, TransferKind};
+use crate::{Event, Trace, TransferKind};
 
 fn ms(t: f64) -> f64 {
     t * 1e3
@@ -240,17 +240,6 @@ pub fn render_text(trace: &Trace) -> Vec<String> {
         lines.push(line);
     }
     lines
-}
-
-/// Which `PhaseKind`s feed each printed bucket (kept public so docs and
-/// tests agree with the table's grouping).
-pub fn bucket_of(phase: PhaseKind) -> &'static str {
-    match phase {
-        PhaseKind::Kernel => "KERNELS",
-        PhaseKind::Loader | PhaseKind::Data => "CPU-GPU",
-        PhaseKind::Comm => "GPU-GPU",
-        PhaseKind::Host => "host",
-    }
 }
 
 #[cfg(test)]
